@@ -7,12 +7,11 @@
 //! runtime).
 //!
 //! The library part contains the shared row-building code; the binaries
-//! (`table2`, `validate_pebbling`) print human-readable tables and emit
-//! machine-readable JSON records, and the Criterion benches under `benches/`
-//! time the individual pipeline stages.
+//! (`table2`, `validate_pebbling`, `loadgen`) print human-readable tables and
+//! emit machine-readable JSON records.  Timing lives in the separate
+//! `benchmark/` workspace described by `BENCHMARK.json`.
 #![forbid(unsafe_code)]
 
-pub mod fixtures;
 pub mod load;
 pub mod validation;
 
@@ -239,7 +238,7 @@ pub fn table2(group: Option<KernelGroup>) -> Vec<Table2Row> {
 }
 
 /// The suite-level accounting of a batch run as a JSON record (shared by the
-/// `table2` and `perf` binaries and the CI suite artifact).  The record
+/// `table2` binary and the CI suite artifact).  The record
 /// layout is defined once, by `SuiteSummary`'s `Serialize` impl in
 /// `soap-sdg` — the same one `soap-cli batch` emits.
 pub fn suite_summary_record(summary: &SuiteSummary) -> serde_json::Value {

@@ -13,8 +13,7 @@
 //! healthy server answers all but the first from the response memo — the
 //! measured steady state is the dedup path the daemon exists for.
 //!
-//! Used by the `loadgen` binary (standalone runs and the CI smoke test) and
-//! by the `perf` snapshot (the `serve/*` benches in `BENCH_*.json`).
+//! Used by the `loadgen` binary (standalone runs and the CI smoke test).
 
 use serde_json::Value;
 use soap_serve::{RunningServer, ServeConfig};

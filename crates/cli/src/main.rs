@@ -89,10 +89,8 @@ fn usage() -> ! {
          environment:\n  \
          SOAP_THREADS       default worker-thread count (same validation and clamp as\n                     \
          --threads, which overrides it)\n  \
-         SOAP_CACHE_SHARDS  lock-stripe count of the in-memory solve cache (positive\n                     \
-         integer; clamped to a power of two <= 1024; default 16)\n  \
-         SOAP_CACHE_DIR     store directory for the process-wide global solve cache\n                     \
-         (library embeddings; the CLI subcommands use --cache-dir)\n  \
+         SOAP_CACHE_DIR     default store directory of serve (--cache-dir overrides\n                     \
+         it; the other subcommands use only --cache-dir)\n  \
          SOAP_TIMEOUT_MS    default per-program budget (same validation as --timeout-ms,\n                     \
          which overrides it); SOAP_SUITE_TIMEOUT_MS likewise for the suite\n  \
          SOAP_FAULT_PLAN    deterministic fault-injection plan for chaos testing\n                     \
@@ -174,8 +172,9 @@ fn flush_cache(cache: &SolveCache) -> bool {
 }
 
 /// Apply a `--threads N` override to the process-wide worker budget, with
-/// the same validation contract as `SOAP_CACHE_SHARDS` / `SOAP_THREADS`: an
-/// unparsable value is an explicit usage error, never a silent guess.
+/// the validation contract of [`parse_worker_threads`] (shared with
+/// `SOAP_THREADS`): an unparsable value is an explicit usage error, never a
+/// silent guess.
 fn set_threads_or_usage(raw: &str) {
     match parse_worker_threads(raw) {
         Some(n) => {
@@ -548,7 +547,7 @@ fn batch(args: &[String]) -> ExitCode {
     }
     let s = &batch.summary;
     // The record layout is defined once by `SuiteSummary`'s Serialize impl
-    // (shared with `table2 --suite-json` and the perf snapshot).
+    // (shared with `table2 --suite-json`).
     let suite_record = serde_json::json!({ "suite": serde_json::to_value(s) });
     lines.push(serde_json::to_string(&suite_record).expect("summary serializes"));
     let text = lines.join("\n") + "\n";

@@ -28,7 +28,8 @@
 //! inline on their caller.  The budget defaults to the `SOAP_THREADS`
 //! environment variable (validated by [`parse_worker_threads`]) or, when
 //! unset, to [`std::thread::available_parallelism`]; [`set_worker_budget`]
-//! overrides it at runtime (CLI `--threads`, thread-scaling benches).
+//! overrides it at runtime (CLI `--threads`, the determinism tests, the
+//! benchmark's single-worker replay).
 //!
 //! ## Panic isolation
 //!
@@ -61,8 +62,8 @@ pub const MAX_WORKER_THREADS: usize = 512;
 /// Parse a `SOAP_THREADS` / `--threads` override: a positive integer, clamped
 /// to [`MAX_WORKER_THREADS`].  `None` for anything that does not parse as a
 /// positive integer — callers fall back to the hardware default rather than
-/// guessing what a typo meant (the same validation contract as
-/// `parse_cache_shards` in `soap-sdg`).
+/// guessing what a typo meant.  The workspace's other strict parsers
+/// (`parse_timeout_ms`, `parse_fault_plan`) follow the same contract.
 pub fn parse_worker_threads(raw: &str) -> Option<usize> {
     let n: usize = raw.trim().parse().ok().filter(|&n| n > 0)?;
     Some(n.min(MAX_WORKER_THREADS))
@@ -107,8 +108,9 @@ pub fn worker_budget() -> usize {
 /// caller — the reference single-thread mode of the determinism tests.
 ///
 /// Intended for process setup (CLI `--threads`) and between-run
-/// reconfiguration (thread-scaling benches); calling it while parallel work
-/// is in flight is safe but the new budget only shapes *future* reservations.
+/// reconfiguration (budget sweeps in tests and the benchmark); calling it
+/// while parallel work is in flight is safe but the new budget only shapes
+/// *future* reservations.
 pub fn set_worker_budget(n: usize) -> usize {
     let n = n.clamp(1, MAX_WORKER_THREADS);
     let p = pool();
@@ -412,8 +414,8 @@ mod tests {
     fn skewed_items_are_balanced_by_self_scheduling() {
         // One item 1000x heavier than the rest must not pin the others to the
         // same worker: with self-scheduling every item still completes and
-        // order is preserved.  (The timing win itself is measured by the
-        // perf harness; this pins the correctness under skew.)
+        // order is preserved.  (The timing win itself shows in the
+        // benchmark's cold-suite; this pins the correctness under skew.)
         let mut weights = vec![1u64; 64];
         weights[0] = 1000;
         let out: Vec<u64> = with_budget(8, || {

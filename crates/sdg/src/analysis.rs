@@ -157,7 +157,7 @@ impl PhaseTimings {
 
 impl serde::Serialize for PhaseTimings {
     /// The canonical JSON record of a phase breakdown — shared by the CLI's
-    /// batch summary and the perf snapshot so the emitters cannot drift.
+    /// batch summary and `table2 --suite-json` so the emitters cannot drift.
     fn to_value(&self) -> serde::Value {
         serde::Value::Object(vec![
             ("enumerate_ms".to_string(), self.enumerate_ms.to_value()),
@@ -192,7 +192,7 @@ pub struct ProgramAnalysis {
     pub bound: Expr,
     /// Diagnostic notes (skipped arrays, enumeration truncation, …).
     pub notes: Vec<String>,
-    /// Solve/cache accounting for the perf harness.
+    /// Solve/cache accounting (hits, misses, failures, KKT cap hits).
     pub solver: SolverSummary,
     /// Per-phase timing breakdown (enumerate / merge / instantiate / solve).
     pub phases: PhaseTimings,
@@ -524,7 +524,7 @@ pub fn analyze_program_governed(
     // result: degraded analyses are partial by construction, and a panicked
     // subgraph means the Theorem-1 maximum may be missing candidates for a
     // reason that is a bug, not a property of the input.
-    if !degraded && panic_failures == 0 && cache.reports_enabled() {
+    if !degraded && panic_failures == 0 && cache.store_dir().is_some() {
         cache.record_report(
             report_key,
             StoredReport {

@@ -114,10 +114,10 @@ impl FaultPlan {
 
 /// Parse a fault-plan string (`key=value` pairs, comma-separated).
 ///
-/// Strictly validated in the spirit of `parse_cache_shards`: any unknown
-/// key, malformed pair, duplicate key, or unparsable value rejects the whole
-/// plan (`None`), so a typo degrades to "no faults" loudly in tests rather
-/// than silently injecting a different plan.
+/// Strictly validated in the spirit of [`rayon::parse_worker_threads`]: any
+/// unknown key, malformed pair, duplicate key, or unparsable value rejects
+/// the whole plan (`None`), so a typo degrades to "no faults" loudly in tests
+/// rather than silently injecting a different plan.
 pub fn parse_fault_plan(raw: &str) -> Option<FaultPlan> {
     let raw = raw.trim();
     if raw.is_empty() {

@@ -56,8 +56,7 @@ pub use batch::{
     ProgramReport, SuiteProgram, SuiteSummary,
 };
 pub use cache::{
-    cache_shards_from_env, canonicalize, global_solve_cache, parse_cache_shards, CacheSession,
-    CacheStats, CanonicalKey, SolveCache, DEFAULT_CACHE_SHARDS, MAX_CACHE_SHARDS,
+    canonicalize, CacheSession, CacheStats, CanonicalKey, SolveCache, DEFAULT_CACHE_SHARDS,
 };
 pub use graph::{Sdg, SdgEdge};
 pub use merge::merged_model;

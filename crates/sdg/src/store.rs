@@ -222,9 +222,7 @@ pub struct StoreFlushStats {
     pub appended: usize,
     /// The solve segment file written, when `appended > 0`.
     pub segment: Option<PathBuf>,
-    /// Finished-program reports persisted by this flush (always 0 for a
-    /// solve-only cache, see
-    /// [`SolveCache::with_store_solve_only`](crate::SolveCache::with_store_solve_only)).
+    /// Finished-program reports persisted by this flush.
     pub reports_appended: usize,
 }
 

@@ -63,6 +63,14 @@ fn full_registry_round_trips_byte_identically() {
     assert_eq!(flushed as u64, cold.summary.cache.misses);
     drop(cold_cache);
 
+    // This test covers the *solve-record* warm path (report replay has its
+    // own test below): remove the finished-report records so every program
+    // walks the pipeline against hydrated solutions.
+    let store = SolveStore::open(&dir).unwrap();
+    for rpt in store.report_files().unwrap() {
+        std::fs::remove_file(rpt).unwrap();
+    }
+
     // Fresh cache over the same directory — a simulated new process.
     let warm_cache = SolveCache::with_store(&dir).expect("store reopens");
     let load = warm_cache.store_load_stats().unwrap().clone();
@@ -75,6 +83,8 @@ fn full_registry_round_trips_byte_identically() {
     // nothing...
     assert_eq!(warm.summary.cache.misses, 0, "{:?}", warm.summary.cache);
     assert_eq!(warm.summary.cache.uncacheable, 0);
+    assert_eq!(warm.summary.cache.report_hits, 0);
+    assert!(warm.summary.cache.hits > 0, "{:?}", warm.summary.cache);
     assert_eq!(warm.summary.cache.store_hits, warm.summary.cache.hits);
 
     // ...and reproduces the cold output byte-for-byte, unsnapped floats

@@ -40,23 +40,21 @@ pub use expr::Expr;
 pub use intern::Symbol;
 pub use lp::LinearProgram;
 pub use opt::{
-    reset_solver_counters, solver_counters, CompiledConstraint, ConstrainedProduct, PowerLaw,
-    SolveInfo, SolverCounters, KKT_HISTOGRAM_EDGES, KKT_ITERATION_CAP, POWER_LAW_PROBES,
+    CompiledConstraint, ConstrainedProduct, PowerLaw, SolveInfo, KKT_ITERATION_CAP,
+    POWER_LAW_PROBES,
 };
 pub use poly::{Monomial, Polynomial};
 pub use posy::{CompiledPosynomial, MaxPosynomial, MaxScratch};
 pub use rational::Rational;
 
 /// Total order on `f64` that sorts NaN *below* every number (including
-/// `-inf`), shared by every float sort in the workspace that must not panic
-/// or misbehave on a rogue NaN:
+/// `-inf`), shared by every float comparison in the workspace that must not
+/// panic or misbehave on a rogue NaN:
 ///
 /// * the Theorem-1 intensity maximum in `soap-sdg` (a subgraph whose `ρ`
 ///   failed to evaluate can never win the maximum),
-/// * the timing-sample sorts of the `perf` binary and the criterion stand-in,
-///   where a single NaN sample must not panic a whole bench run — under this
-///   order it sorts to the front, so it surfaces loudly as a NaN minimum in
-///   the printed stats instead of aborting them.
+/// * `loadgen`'s `--require-dedup` check, where a NaN dedup ratio must
+///   fail the SLO rather than pass it.
 ///
 /// "Last" refers to preference: NaN loses every `max_by` under this order.
 /// This differs from `f64::total_cmp`, which sorts *negative* NaN below all

@@ -22,31 +22,9 @@ use crate::expr::Expr;
 use crate::posy::{CompiledPosynomial, MaxPosynomial, MaxScratch, TIE_REL_FLOOR};
 use crate::rational::Rational;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static SOLVES: AtomicU64 = AtomicU64::new(0);
-static COMPILED_SOLVES: AtomicU64 = AtomicU64::new(0);
-static KKT_ITERATIONS: AtomicU64 = AtomicU64::new(0);
-static MAX_FORM_SOLVES: AtomicU64 = AtomicU64::new(0);
-static KKT_CAP_HITS: AtomicU64 = AtomicU64::new(0);
-static KKT_HISTOGRAM: [AtomicU64; KKT_HISTOGRAM_EDGES.len() + 1] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
-
-/// Upper edges of the per-solve KKT iteration histogram buckets: bucket `i`
-/// counts solves with `iterations < EDGES[i]` (and ≥ the previous edge); the
-/// final bucket counts solves at or above the last edge (a continuation
-/// restart can push a converged solve past the per-leg cap).
-pub const KKT_HISTOGRAM_EDGES: [u64; 6] = [10, 25, 50, 100, 200, 400];
 
 /// The hard per-solve KKT iteration budget; a solve that consumes the whole
-/// budget without meeting a convergence criterion is counted as a cap hit.
+/// budget without meeting a convergence test is counted as a cap hit.
 pub const KKT_ITERATION_CAP: usize = 400;
 
 /// The `X` values of the three power-law probes run by
@@ -65,64 +43,6 @@ const DEV_DEADBAND: f64 = 1e-7;
 /// so a 16-iteration poll granularity bounds the overshoot past an expired
 /// deadline to well under a millisecond per solve.
 const DEADLINE_POLL_MASK: usize = 0xF;
-
-/// Process-wide counters of the numeric solver, for perf reporting.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SolverCounters {
-    /// Total [`ConstrainedProduct::solve`] calls.
-    pub solves: u64,
-    /// Solves that ran on the compiled-posynomial fast path.
-    pub compiled_solves: u64,
-    /// Total KKT fixed-point iterations across all solves.
-    pub kkt_iterations: u64,
-    /// Solves whose constraint was in piecewise max-posynomial form.
-    pub max_form_solves: u64,
-    /// Solves that exhausted the iteration budget without converging.
-    pub kkt_cap_hits: u64,
-    /// Per-solve iteration histogram over [`KKT_HISTOGRAM_EDGES`] buckets.
-    pub kkt_histogram: [u64; KKT_HISTOGRAM_EDGES.len() + 1],
-}
-
-/// Snapshot the process-wide solver counters.
-pub fn solver_counters() -> SolverCounters {
-    let mut kkt_histogram = [0u64; KKT_HISTOGRAM_EDGES.len() + 1];
-    for (slot, bucket) in kkt_histogram.iter_mut().zip(&KKT_HISTOGRAM) {
-        *slot = bucket.load(Ordering::Relaxed);
-    }
-    SolverCounters {
-        solves: SOLVES.load(Ordering::Relaxed),
-        compiled_solves: COMPILED_SOLVES.load(Ordering::Relaxed),
-        kkt_iterations: KKT_ITERATIONS.load(Ordering::Relaxed),
-        max_form_solves: MAX_FORM_SOLVES.load(Ordering::Relaxed),
-        kkt_cap_hits: KKT_CAP_HITS.load(Ordering::Relaxed),
-        kkt_histogram,
-    }
-}
-
-/// Reset the process-wide solver counters (perf harness bookkeeping).
-pub fn reset_solver_counters() {
-    SOLVES.store(0, Ordering::Relaxed);
-    COMPILED_SOLVES.store(0, Ordering::Relaxed);
-    KKT_ITERATIONS.store(0, Ordering::Relaxed);
-    MAX_FORM_SOLVES.store(0, Ordering::Relaxed);
-    KKT_CAP_HITS.store(0, Ordering::Relaxed);
-    for bucket in &KKT_HISTOGRAM {
-        bucket.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Record one finished solve into the process-wide accounting.
-fn record_solve(iterations: u64, capped: bool) {
-    KKT_ITERATIONS.fetch_add(iterations, Ordering::Relaxed);
-    if capped {
-        KKT_CAP_HITS.fetch_add(1, Ordering::Relaxed);
-    }
-    let bucket = KKT_HISTOGRAM_EDGES
-        .iter()
-        .position(|&edge| iterations < edge)
-        .unwrap_or(KKT_HISTOGRAM_EDGES.len());
-    KKT_HISTOGRAM[bucket].fetch_add(1, Ordering::Relaxed);
-}
 
 /// The compiled forms of a problem's objective and constraint.
 #[derive(Clone, Debug)]
@@ -474,21 +394,14 @@ impl ConstrainedProduct {
         warm: Option<&[f64]>,
         deadline: Option<&Deadline>,
     ) -> Result<(ProductSolution, SolveInfo), Expired> {
-        SOLVES.fetch_add(1, Ordering::Relaxed);
         let max_form = self
             .compiled
             .as_ref()
             .is_some_and(|c| c.constraint.is_max_form());
-        if max_form {
-            MAX_FORM_SOLVES.fetch_add(1, Ordering::Relaxed);
-        }
         let run = |start: Option<&[f64]>| match &self.compiled {
             Some(c) => self.solve_compiled(c, x, start, deadline),
             None => self.solve_reference_impl(x, start, deadline),
         };
-        if self.compiled.is_some() {
-            COMPILED_SOLVES.fetch_add(1, Ordering::Relaxed);
-        }
         let (mut sol, mut iterations, mut capped) = run(warm)?;
         if capped {
             // Continuation restart: a cold start that exhausted the budget
@@ -505,7 +418,6 @@ impl ConstrainedProduct {
                 capped = capped2;
             }
         }
-        record_solve(iterations, capped);
         let info = SolveInfo {
             solves: 1,
             iterations,
@@ -526,11 +438,10 @@ impl ConstrainedProduct {
     /// that policy (evaluation, gradients, projection) is computed by
     /// entirely different machinery.
     pub fn solve_reference(&self, x: f64) -> ProductSolution {
-        let (sol, iterations, capped) = self
+        let (sol, _, _) = self
             .solve_reference_impl(x, None, None)
             // lint:allow(unwrap-expect): Deadline::none() never expires; this solve is explicitly ungoverned
             .expect("ungoverned solve cannot expire");
-        record_solve(iterations, capped);
         sol
     }
 
@@ -1222,19 +1133,6 @@ mod tests {
             fast.chi >= slow.chi * (1.0 - 1e-3),
             "compiled regressed below reference"
         );
-    }
-
-    #[test]
-    fn solver_counters_accumulate() {
-        // Delta-based: the counters are process-wide and other tests solve
-        // concurrently, so only monotone growth is asserted.
-        let before = solver_counters();
-        let p = mmm_problem();
-        p.solve(1.0e6);
-        let after = solver_counters();
-        assert!(after.solves > before.solves);
-        assert!(after.compiled_solves > before.compiled_solves);
-        assert!(after.kkt_iterations > before.kkt_iterations);
     }
 
     #[test]
