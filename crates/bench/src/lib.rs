@@ -19,7 +19,8 @@ use serde::Serialize;
 use soap_baselines::{loomis_whitney_bound, sota_bound};
 use soap_kernels::{registry, KernelEntry, KernelGroup};
 use soap_sdg::{
-    analyze_program_with, analyze_suite, ProgramAnalysis, SdgOptions, SuiteProgram, SuiteSummary,
+    analyze_program, analyze_suite, ProgramAnalysis, SdgOptions, SolveCache, SuiteProgram,
+    SuiteSummary,
 };
 use std::collections::BTreeMap;
 
@@ -153,7 +154,7 @@ pub fn analyze_kernel(entry: &KernelEntry) -> ProgramAnalysis {
         assume_injective: entry.assume_injective,
         ..SdgOptions::default()
     };
-    analyze_program_with(&entry.program, &opts)
+    analyze_program(&entry.program, &opts, &SolveCache::new(), None)
         .unwrap_or_else(|e| panic!("analysis of {} failed: {e}", entry.name))
 }
 
@@ -217,7 +218,7 @@ pub fn table2_suite(group: Option<KernelGroup>) -> (Vec<Table2Row>, SuiteSummary
         .filter(|e| group.map(|g| e.group == g).unwrap_or(true))
         .collect();
     let jobs: Vec<SuiteProgram> = entries.iter().map(suite_program).collect();
-    let batch = analyze_suite(&jobs);
+    let batch = analyze_suite(&jobs, &SolveCache::new(), None, None);
     let rows = entries
         .iter()
         .zip(&batch.reports)

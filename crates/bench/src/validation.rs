@@ -4,7 +4,7 @@
 use serde::Serialize;
 use soap_core::{analyze_statement, AnalysisOptions};
 use soap_pebbling::{simulate_program_order, simulate_tiled, Cdag};
-use soap_sdg::analyze_program;
+use soap_sdg::{analyze_program, SdgOptions, SolveCache};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -83,7 +83,8 @@ pub fn validate_kernel(case: &ValidationCase) -> Option<ValidationReport> {
         params.iter().map(|(k, v)| (k.clone(), *v as f64)).collect();
     bindings.insert("S".to_string(), case.s as f64);
 
-    let analysis = analyze_program(&entry.program).ok()?;
+    let sdg_opts = SdgOptions::default();
+    let analysis = analyze_program(&entry.program, &sdg_opts, &SolveCache::new(), None).ok()?;
     let lower_bound = analysis.bound.eval(&bindings)?;
 
     let cdag = Cdag::from_program(&entry.program, &params);

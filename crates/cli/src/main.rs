@@ -34,8 +34,8 @@ use soap_baselines::sota_bound;
 use soap_frontend::{parse_c, parse_python};
 use soap_ir::Program;
 use soap_sdg::{
-    analyze_program_with_cache, analyze_suite_governed, parse_timeout_ms, parse_worker_threads,
-    set_worker_budget, SdgOptions, SolveCache, SolveStore, SuiteProgram,
+    analyze_program, analyze_suite, parse_timeout_ms, parse_worker_threads, set_worker_budget,
+    SdgOptions, SolveCache, SolveStore, SuiteProgram,
 };
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -101,9 +101,7 @@ fn usage() -> ! {
          SOAP_SERVE_HTTP_THREADS  daemon HTTP connection threads (see --http-threads)\n  \
          SOAP_SERVE_SLOTS         daemon concurrent analysis slots (see --slots)\n  \
          SOAP_SERVE_QUEUE         daemon admission queue capacity (see --queue)\n  \
-         SOAP_SERVE_MEMO_CAP      daemon memoized-response cache capacity (see --memo-cap)\n  \
-         SOAP_DEBUG_KKT           print per-iteration KKT solver state to stderr (debug aid;\n                     \
-         output is unaffected)"
+         SOAP_SERVE_MEMO_CAP      daemon memoized-response cache capacity (see --memo-cap)"
     );
     std::process::exit(2);
 }
@@ -485,7 +483,7 @@ fn batch(args: &[String]) -> ExitCode {
         Ok(c) => c,
         Err(code) => return code,
     };
-    let batch = analyze_suite_governed(&jobs, &cache, program_budget, suite_budget);
+    let batch = analyze_suite(&jobs, &cache, program_budget, suite_budget);
     if batch.summary.duplicate_names > 0 {
         eprintln!(
             "batch: {} duplicate program name(s) disambiguated to name#2, name#3, … in the reports",
@@ -590,7 +588,7 @@ fn report_with(program: &Program, assume_injective: bool, json: bool, cache: &So
         assume_injective,
         ..SdgOptions::default()
     };
-    match analyze_program_with_cache(program, &opts, cache) {
+    match analyze_program(program, &opts, cache, None) {
         Ok(analysis) => {
             if json {
                 let record = serde_json::json!({

@@ -259,7 +259,7 @@ pub fn analyze_statement(
         dominator: dominator.clone(),
         access_index_sets: index_sets,
     };
-    let intensity = solve_model(&model)?;
+    let intensity = solve_model(&model, None, None).0?;
     let domain_size = st.execution_count();
     let params = st.parameters();
     let leading = domain_size.leading_terms(&params).to_expr();

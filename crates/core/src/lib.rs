@@ -26,11 +26,7 @@ pub mod model;
 pub mod projections;
 
 pub use analysis::{analyze_conditional, analyze_statement, AnalysisOptions, StatementAnalysis};
-pub use model::{
-    solve_model, solve_model_instrumented, solve_model_instrumented_governed,
-    solve_model_precompiled, solve_model_precompiled_governed, solve_model_reference, AccessModel,
-    IntensityResult,
-};
+pub use model::{solve_model, solve_model_reference, AccessModel, IntensityResult};
 
 /// Errors produced by the analysis.
 #[derive(Clone, Debug, PartialEq)]

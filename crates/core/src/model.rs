@@ -80,81 +80,54 @@ impl IntensityResult {
 
 /// Solve an [`AccessModel`]: fit the power law of `χ(X)`, cross-check the
 /// exponent against the exact access LP when available, and assemble the
-/// symbolic intensity.
-///
-/// The objective and dominator are compiled once into posynomial form inside
-/// [`ConstrainedProduct::new`]; all three power-law probes and the tile-shape
-/// solve reuse the compiled arrays.
-pub fn solve_model(model: &AccessModel) -> Result<IntensityResult, AnalysisError> {
-    solve_model_instrumented(model).0
-}
-
-/// [`solve_model`] plus the aggregated KKT accounting of all its probe
-/// solves — the cross-subgraph cache uses the accounting to surface
+/// symbolic intensity.  Also returns the aggregated KKT accounting of all
+/// probe solves — the cross-subgraph cache uses it to surface
 /// iteration-budget exhaustion in `SolverSummary`.
-pub fn solve_model_instrumented(
+///
+/// With `compiled = None` the objective and dominator are compiled once into
+/// posynomial form inside [`ConstrainedProduct::new`] (falling back to the
+/// `Expr`-eval path for models outside (max-)posynomial form); the solve
+/// cache passes the forms it already compiled for its canonical key, which
+/// skips the duplicate compilation but takes exactly the same numeric path.
+/// All three power-law probes and the tile-shape solve reuse the compiled
+/// arrays.  Under a `deadline` the KKT loops poll it and the whole solve
+/// returns [`AnalysisError::Cancelled`] when it expires mid-solve.
+pub fn solve_model(
     model: &AccessModel,
-) -> (Result<IntensityResult, AnalysisError>, SolveInfo) {
-    solve_model_impl(model, ProblemBuild::Compiled, None)
-}
-
-/// [`solve_model_instrumented`] under an optional [`Deadline`]: the KKT loops
-/// poll the deadline and the whole solve returns
-/// [`AnalysisError::Cancelled`] when the budget expires mid-solve.
-pub fn solve_model_instrumented_governed(
-    model: &AccessModel,
+    compiled: Option<(CompiledPosynomial, CompiledConstraint)>,
     deadline: Option<&Deadline>,
 ) -> (Result<IntensityResult, AnalysisError>, SolveInfo) {
-    solve_model_impl(model, ProblemBuild::Compiled, deadline)
-}
-
-/// [`solve_model`] with both sides already compiled (the solve cache compiles
-/// them for its canonical key); skips the duplicate compilation of
-/// [`ConstrainedProduct::new`] but takes exactly the same numeric path.
-pub fn solve_model_precompiled(
-    model: &AccessModel,
-    objective: CompiledPosynomial,
-    dominator: CompiledConstraint,
-) -> (Result<IntensityResult, AnalysisError>, SolveInfo) {
-    solve_model_precompiled_governed(model, objective, dominator, None)
-}
-
-/// [`solve_model_precompiled`] under an optional [`Deadline`].
-pub fn solve_model_precompiled_governed(
-    model: &AccessModel,
-    objective: CompiledPosynomial,
-    dominator: CompiledConstraint,
-    deadline: Option<&Deadline>,
-) -> (Result<IntensityResult, AnalysisError>, SolveInfo) {
-    solve_model_impl(
-        model,
-        ProblemBuild::Precompiled(Box::new((objective, dominator))),
-        deadline,
-    )
+    let build = || match compiled {
+        Some((objective, dominator)) => ConstrainedProduct::from_compiled(
+            model.tile_variables.clone(),
+            model.objective.clone(),
+            model.dominator.clone(),
+            objective,
+            dominator,
+        ),
+        None => ConstrainedProduct::new(
+            model.tile_variables.clone(),
+            model.objective.clone(),
+            model.dominator.clone(),
+        ),
+    };
+    let mut info = SolveInfo::default();
+    let result = solve_model_inner(model, build, &mut info, deadline);
+    (result, info)
 }
 
 /// [`solve_model`] forced down the retained `Expr`-eval solver path
 /// (finite-difference gradients, bisection projection) — the differential
 /// baseline the compiled path is pinned against.
 pub fn solve_model_reference(model: &AccessModel) -> Result<IntensityResult, AnalysisError> {
-    solve_model_impl(model, ProblemBuild::Reference, None).0
-}
-
-/// How [`solve_model_impl`] constructs its [`ConstrainedProduct`].
-enum ProblemBuild {
-    Compiled,
-    Precompiled(Box<(CompiledPosynomial, CompiledConstraint)>),
-    Reference,
-}
-
-fn solve_model_impl(
-    model: &AccessModel,
-    build: ProblemBuild,
-    deadline: Option<&Deadline>,
-) -> (Result<IntensityResult, AnalysisError>, SolveInfo) {
-    let mut info = SolveInfo::default();
-    let result = solve_model_inner(model, build, &mut info, deadline);
-    (result, info)
+    let build = || {
+        ConstrainedProduct::new_reference(
+            model.tile_variables.clone(),
+            model.objective.clone(),
+            model.dominator.clone(),
+        )
+    };
+    solve_model_inner(model, build, &mut SolveInfo::default(), None)
 }
 
 /// The [`AnalysisError`] for a deadline that expired inside a model solve.
@@ -164,7 +137,7 @@ fn cancelled(model: &AccessModel) -> AnalysisError {
 
 fn solve_model_inner(
     model: &AccessModel,
-    build: ProblemBuild,
+    build: impl FnOnce() -> ConstrainedProduct,
     info: &mut SolveInfo,
     deadline: Option<&Deadline>,
 ) -> Result<IntensityResult, AnalysisError> {
@@ -177,30 +150,9 @@ fn solve_model_inner(
     if model.dominator.is_zero() {
         return Err(AnalysisError::NoInputs(model.name.clone()));
     }
-    let problem = match build {
-        ProblemBuild::Compiled => ConstrainedProduct::new(
-            model.tile_variables.clone(),
-            model.objective.clone(),
-            model.dominator.clone(),
-        ),
-        ProblemBuild::Precompiled(compiled) => {
-            let (objective, dominator) = *compiled;
-            ConstrainedProduct::from_compiled(
-                model.tile_variables.clone(),
-                model.objective.clone(),
-                model.dominator.clone(),
-                objective,
-                dominator,
-            )
-        }
-        ProblemBuild::Reference => ConstrainedProduct::new_reference(
-            model.tile_variables.clone(),
-            model.objective.clone(),
-            model.dominator.clone(),
-        ),
-    };
+    let problem = build();
     let (mut law, fit_info, fit_extents) = problem
-        .fit_power_law_governed(deadline)
+        .fit_power_law(deadline)
         .map_err(|_| cancelled(model))?;
     info.absorb(fit_info);
     if !law.coeff.is_finite() || law.coeff <= 0.0 {
@@ -235,7 +187,7 @@ fn solve_model_inner(
     // lint:allow(unwrap-expect): POWER_LAW_PROBES is a non-empty const table
     let x_fit = *POWER_LAW_PROBES.last().expect("probes are non-empty");
     let (sol, probe_info) = problem
-        .solve_seeded_governed(x_probe, Some(&fit_extents), deadline)
+        .solve(x_probe, Some(&fit_extents), deadline)
         .map_err(|_| cancelled(model))?;
     info.absorb(probe_info);
     let mut tile_exponents = Vec::new();
@@ -290,7 +242,7 @@ mod tests {
                 .add(dv("i").mul(dv("j"))),
             access_index_sets: vec![vec![0, 2], vec![2, 1], vec![0, 1]],
         };
-        let res = solve_model(&model).unwrap();
+        let res = solve_model(&model, None, None).0.unwrap();
         assert_eq!(res.sigma, Rational::new(3, 2));
         assert!((res.rho_at(10_000.0) - 50.0).abs() < 1.0);
         // X0 = 3S; tiles at S=10000 are ~sqrt(X0/3) = 100 each.
@@ -315,7 +267,7 @@ mod tests {
             dominator: dv("i").add(Expr::int(2).mul(dv("t"))),
             access_index_sets: vec![],
         };
-        let res = solve_model(&model).unwrap();
+        let res = solve_model(&model, None, None).0.unwrap();
         assert_eq!(res.sigma, Rational::int(2));
         for (name, e) in &res.tile_exponents {
             assert_eq!(*e, Rational::ONE, "tile exponent of {name}");
@@ -352,7 +304,7 @@ mod tests {
             access_index_sets: vec![],
         };
         assert!(matches!(
-            solve_model(&model),
+            solve_model(&model, None, None).0,
             Err(AnalysisError::NoInputs(_))
         ));
     }
@@ -370,7 +322,7 @@ mod tests {
             dominator: g,
             access_index_sets: vec![],
         };
-        let res = solve_model(&model).unwrap();
+        let res = solve_model(&model, None, None).0.unwrap();
         assert_eq!(res.sigma, Rational::ONE);
         assert!((res.rho_at(64.0) - 2.0).abs() < 0.05);
         assert!(res.x0.is_none());

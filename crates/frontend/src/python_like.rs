@@ -176,7 +176,13 @@ for i in range(0, N):
             C[i, j] += A[i, k] * B[k, j]
 "#;
         let p = parse_python("gemm", src).unwrap();
-        let res = soap_sdg::analyze_program(&p).unwrap();
+        let res = soap_sdg::analyze_program(
+            &p,
+            &soap_sdg::SdgOptions::default(),
+            &soap_sdg::SolveCache::new(),
+            None,
+        )
+        .unwrap();
         let mut b = std::collections::BTreeMap::new();
         b.insert("N".to_string(), 100.0);
         b.insert("S".to_string(), 100.0);

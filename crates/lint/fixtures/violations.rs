@@ -11,7 +11,7 @@ pub fn float_sort(xs: &mut Vec<f64>) {
 }
 
 pub fn timing() -> std::time::Duration {
-    // instant-now: wall-clock read outside deadline.rs/perf*.
+    // instant-now: wall-clock read outside deadline.rs.
     let t = Instant::now();
     t.elapsed()
 }

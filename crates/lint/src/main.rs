@@ -11,9 +11,9 @@
 //! * `partial-cmp`    — raw `.partial_cmp(` is forbidden; route float
 //!   comparisons through `soap_symbolic::nan_last` (the one site defining the
 //!   NaN total order carries the justification marker).
-//! * `instant-now`    — `Instant::now()` is forbidden outside `deadline.rs` /
-//!   `perf*` files: wall-clock reads are non-deterministic by nature and must
-//!   be confined to the deadline governor and perf instrumentation.
+//! * `instant-now`    — `Instant::now()` is forbidden outside `deadline.rs`:
+//!   wall-clock reads are non-deterministic by nature and must be confined to
+//!   the deadline governor (other reads carry a justification marker).
 //! * `unwrap-expect`  — `.unwrap()` / `.expect(` in non-test library code is
 //!   forbidden; return typed errors, or justify the panic site with a marker.
 //! * `hashmap-iter`   — `HashMap` iteration in a file that serializes output
@@ -360,7 +360,7 @@ impl<'a> SourceFile<'a> {
 
     fn rule_instant_now(&self, out: &mut Vec<Violation>, i: usize, masked: &str) {
         let base = self.rel.rsplit('/').next().unwrap_or(self.rel);
-        if base == "deadline.rs" || base.starts_with("perf") {
+        if base == "deadline.rs" {
             return;
         }
         if masked.contains("Instant::now") {
@@ -368,7 +368,7 @@ impl<'a> SourceFile<'a> {
                 out,
                 "instant-now",
                 i,
-                "wall-clock read outside deadline.rs/perf* — time-dependent \
+                "wall-clock read outside deadline.rs — time-dependent \
                  logic breaks run-to-run determinism"
                     .to_string(),
             );
@@ -891,12 +891,13 @@ mod tests {
     }
 
     #[test]
-    fn instant_now_allows_deadline_and_perf_files() {
+    fn instant_now_allows_only_deadline_rs() {
         assert!(lint_str("crates/x/src/deadline.rs", "let t = Instant::now();").is_empty());
-        assert!(lint_str("crates/x/src/perf.rs", "let t = Instant::now();").is_empty());
-        let v = lint_str("crates/x/src/lib.rs", "let t = Instant::now();");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "instant-now");
+        for rel in ["crates/x/src/perf.rs", "crates/x/src/lib.rs"] {
+            let v = lint_str(rel, "let t = Instant::now();");
+            assert_eq!(v.len(), 1, "{rel}");
+            assert_eq!(v[0].rule, "instant-now");
+        }
     }
 
     #[test]

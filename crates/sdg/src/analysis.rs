@@ -219,45 +219,26 @@ impl ProgramAnalysis {
     }
 }
 
-/// Analyze a program with default options.
-pub fn analyze_program(program: &Program) -> Result<ProgramAnalysis, AnalysisError> {
-    analyze_program_with(program, &SdgOptions::default())
-}
-
-/// Analyze a program: enumerate SDG subgraphs, solve each subgraph statement's
-/// intensity in parallel, and combine them with Theorem 1.
-pub fn analyze_program_with(
-    program: &Program,
-    opts: &SdgOptions,
-) -> Result<ProgramAnalysis, AnalysisError> {
-    analyze_program_with_cache(program, opts, &SolveCache::new())
-}
-
-/// [`analyze_program_with`] against a caller-provided (possibly shared)
-/// [`SolveCache`]: structures already solved by *other* programs through the
-/// same cache are answered without solving, and the returned
+/// Analyze a program: enumerate SDG subgraphs, solve each subgraph
+/// statement's intensity in parallel through `cache`, and combine them with
+/// Theorem 1.
+///
+/// The cache may be shared: structures already solved by *other* programs
+/// through it are answered without solving, and the returned
 /// [`SolverSummary`] accounts this analysis's traffic only (with
 /// cross-program hits broken out).  Results are byte-identical to a run with
-/// a private cache — see the order-invariance notes on [`crate::cache`].
-pub fn analyze_program_with_cache(
-    program: &Program,
-    opts: &SdgOptions,
-    cache: &SolveCache,
-) -> Result<ProgramAnalysis, AnalysisError> {
-    analyze_program_governed(program, opts, cache, None)
-}
-
-/// [`analyze_program_with_cache`] under a budget.  With no deadline (and no
-/// active fault plan) the output is byte-identical to the ungoverned path.
+/// a private cache (`&SolveCache::new()`) — see the order-invariance notes on
+/// [`crate::cache`].
 ///
-/// When the deadline expires — or the active [`crate::faults::FaultPlan`]
-/// trips a deterministic cancellation — the analysis abandons work only at
-/// commit points (enumeration level boundaries, per-subgraph closure starts,
-/// KKT iteration checks) and returns a **degraded-but-sound** result instead
-/// of an error: every array touching a cancelled subgraph contributes *zero*
-/// to the bound (see [`ProgramAnalysis::degraded`]), so the degraded bound
-/// never exceeds the full Theorem-1 bound.
-pub fn analyze_program_governed(
+/// With no deadline (and no active fault plan) nothing is abandoned.  When
+/// the deadline expires — or the active [`crate::faults::FaultPlan`] trips a
+/// deterministic cancellation — the analysis abandons work only at commit
+/// points (enumeration level boundaries, per-subgraph closure starts, KKT
+/// iteration checks) and returns a **degraded-but-sound** result instead of
+/// an error: every array touching a cancelled subgraph contributes *zero* to
+/// the bound (see [`ProgramAnalysis::degraded`]), so the degraded bound never
+/// exceeds the full Theorem-1 bound.
+pub fn analyze_program(
     program: &Program,
     opts: &SdgOptions,
     cache: &SolveCache,
@@ -321,7 +302,7 @@ pub fn analyze_program_governed(
     // subgraph runs under `catch_unwind`, so one panicking subgraph is
     // dropped like any other per-subgraph failure instead of tearing down
     // the whole program analysis.
-    let session = cache.session_governed(deadline.cloned());
+    let session = cache.session(deadline.cloned());
     let reference_s = opts.reference_s;
     let merge_ns = AtomicU64::new(0);
     let solve_call_ns = AtomicU64::new(0);
@@ -564,6 +545,16 @@ pub fn analyze_program_governed(
     })
 }
 
+/// [`analyze_program`] with no deadline.  Exists only for the `benchmark/`
+/// workspace, which pins this name; other code calls [`analyze_program`].
+pub fn analyze_program_with_cache(
+    program: &Program,
+    opts: &SdgOptions,
+    cache: &SolveCache,
+) -> Result<ProgramAnalysis, AnalysisError> {
+    analyze_program(program, opts, cache, None)
+}
+
 /// The diagnostic kind label of an [`AnalysisError`] for failure breakdowns.
 fn error_kind(err: &AnalysisError) -> &'static str {
     match err {
@@ -579,6 +570,11 @@ fn error_kind(err: &AnalysisError) -> &'static str {
 mod tests {
     use super::*;
     use soap_ir::ProgramBuilder;
+
+    /// A default-options, private-cache, ungoverned analysis.
+    fn analyze(program: &Program) -> ProgramAnalysis {
+        analyze_program(program, &SdgOptions::default(), &SolveCache::new(), None).unwrap()
+    }
 
     fn eval(e: &Expr, pairs: &[(&str, f64)]) -> f64 {
         let b: BTreeMap<String, f64> = pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect();
@@ -617,7 +613,7 @@ mod tests {
 
     #[test]
     fn gemm_program_bound_matches_single_statement() {
-        let res = analyze_program(&gemm()).unwrap();
+        let res = analyze(&gemm());
         assert_eq!(res.per_array.len(), 1);
         let q = eval(&res.bound, &[("N", 1000.0), ("S", 10_000.0)]);
         assert!((q - 2.0e7).abs() / 2.0e7 < 0.05, "bound {q}");
@@ -625,7 +621,7 @@ mod tests {
 
     #[test]
     fn two_mm_bound_is_four_n_cubed_over_sqrt_s() {
-        let res = analyze_program(&two_mm()).unwrap();
+        let res = analyze(&two_mm());
         assert_eq!(res.per_array.len(), 2);
         let q = eval(&res.bound, &[("N", 1000.0), ("S", 10_000.0)]);
         let expected = 4.0e9 / 100.0;
@@ -656,7 +652,7 @@ mod tests {
             })
             .build()
             .unwrap();
-        let res = analyze_program(&p).unwrap();
+        let res = analyze(&p);
         // Q ≈ N² (the matrix is read once; the two MVs share it).
         let q = eval(&res.bound, &[("N", 1000.0), ("S", 10_000.0)]);
         assert!((q - 1.0e6).abs() / 1.0e6 < 0.1, "bound {q}");
@@ -672,7 +668,7 @@ mod tests {
         // "Z[0]" uses a constant subscript; the loop variable i never appears,
         // which is fine for the IR but yields no analyzable dominator.
         let p = p.unwrap();
-        let res = analyze_program(&p).unwrap();
+        let res = analyze(&p);
         assert!(res.per_array.is_empty());
         assert!(!res.notes.is_empty());
     }

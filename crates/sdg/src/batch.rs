@@ -16,15 +16,11 @@
 //! cross-program hits are distinguishable from intra-program hits.
 //!
 //! Batch results are **byte-identical** to sequential per-program
-//! [`analyze_program_with`](crate::analyze_program_with) calls regardless of
-//! shard count, thread count, or program order: a cache miss solves the
-//! *canonical model* of the structure, never the requesting representative
-//! (see [`crate::cache`]).
+//! [`analyze_program`] calls regardless of shard count, thread count, or
+//! program order: a cache miss solves the *canonical model* of the
+//! structure, never the requesting representative (see [`crate::cache`]).
 
-use crate::analysis::{
-    analyze_program_governed, analyze_program_with_cache, panic_message, PhaseTimings,
-    ProgramAnalysis, SdgOptions,
-};
+use crate::analysis::{analyze_program, panic_message, PhaseTimings, ProgramAnalysis, SdgOptions};
 use crate::cache::{CacheStats, SolveCache};
 use rayon::prelude::*;
 use soap_core::AnalysisError;
@@ -82,7 +78,7 @@ pub struct SuiteSummary {
     pub wall_ms: f64,
     /// Suite entries whose name collided with an earlier entry and were
     /// disambiguated to `name#2`, `name#3`, … in their [`ProgramReport`] (see
-    /// [`analyze_suite_with`]).  0 when every entry name was unique.
+    /// [`analyze_suite`]).  0 when every entry name was unique.
     pub duplicate_names: usize,
     /// Sum of the per-program analysis times (equals `wall_ms` up to
     /// bookkeeping overhead on a single-threaded host; smaller than the sum
@@ -162,21 +158,25 @@ impl BatchAnalysis {
     }
 }
 
-/// Analyze a suite of programs over a fresh shared [`SolveCache`].
-pub fn analyze_suite(jobs: &[SuiteProgram]) -> BatchAnalysis {
-    analyze_suite_with(jobs, &SolveCache::new())
-}
-
-/// Analyze a suite of programs over a caller-provided shared cache (e.g. one
-/// kept alive by a long-running service, so structures solved by *earlier*
-/// suites are reused too — or a cache opened with
-/// [`SolveCache::with_store`](crate::SolveCache::with_store), so structures
-/// solved by earlier *processes* are reused and new solves persist for later
-/// ones; remember to flush such a cache at session end).
+/// Analyze a suite of programs over one shared cache: a fresh
+/// `&SolveCache::new()`, one kept alive by a long-running service (so
+/// structures solved by *earlier* suites are reused too), or a cache opened
+/// with [`SolveCache::with_store`](crate::SolveCache::with_store) (so
+/// structures solved by earlier *processes* are reused and new solves persist
+/// for later ones; remember to flush such a cache at session end).
 ///
 /// The summary's cache stats are the cache's counter deltas over this call;
 /// when other threads use the same cache concurrently their traffic is
 /// included in the delta.
+///
+/// **Budgets.**  `program_budget` caps each program's analysis individually,
+/// `suite_budget` caps the whole run.  Each program's deadline is the
+/// *minimum* of its own budget and whatever remains of the suite budget at
+/// the moment it starts, so a suite that runs out of time degrades its
+/// in-flight and remaining programs instead of erroring.  Degraded programs
+/// complete with a sound partial bound ([`ProgramAnalysis::degraded`]) and
+/// are counted in [`SuiteSummary::degraded`] — they are *not* failures.
+/// With both budgets `None` no program has a deadline.
 ///
 /// **Duplicate names.**  [`BatchAnalysis::report`] looks reports up by name,
 /// and the per-program cache accounting is keyed by program scope, so two
@@ -185,30 +185,12 @@ pub fn analyze_suite(jobs: &[SuiteProgram]) -> BatchAnalysis {
 /// `gemm` reports as `gemm#2`, the third as `gemm#3`, … (guaranteed unique
 /// against the caller's own names too), and `SuiteSummary::duplicate_names`
 /// counts how many entries were renamed so callers can surface the hint.
-pub fn analyze_suite_with(jobs: &[SuiteProgram], cache: &SolveCache) -> BatchAnalysis {
-    analyze_suite_governed(jobs, cache, None, None)
-}
-
-/// [`analyze_suite_with`] under budgets: `program_budget` caps each program's
-/// analysis individually, `suite_budget` caps the whole run.  Each program's
-/// deadline is the *minimum* of its own budget and whatever remains of the
-/// suite budget at the moment it starts, so a suite that runs out of time
-/// degrades its in-flight and remaining programs instead of erroring.
-/// Degraded programs complete with a sound partial bound
-/// ([`ProgramAnalysis::degraded`]) and are counted in
-/// [`SuiteSummary::degraded`] — they are *not* failures.  With both budgets
-/// `None` this is exactly [`analyze_suite_with`].
-pub fn analyze_suite_governed(
+pub fn analyze_suite(
     jobs: &[SuiteProgram],
     cache: &SolveCache,
     program_budget: Option<Duration>,
     suite_budget: Option<Duration>,
 ) -> BatchAnalysis {
-    if program_budget.is_none() && suite_budget.is_none() {
-        return analyze_suite_inner(jobs, cache, &|job| {
-            analyze_program_with_cache(&job.program, &job.opts, cache)
-        });
-    }
     let suite_deadline = suite_budget.map(Deadline::after);
     analyze_suite_inner(jobs, cache, &|job| {
         let budget = match (
@@ -220,8 +202,14 @@ pub fn analyze_suite_governed(
             (None, s) => s,
         };
         let deadline = budget.map(Deadline::after);
-        analyze_program_governed(&job.program, &job.opts, cache, deadline.as_ref())
+        analyze_program(&job.program, &job.opts, cache, deadline.as_ref())
     })
+}
+
+/// [`analyze_suite`] with no budgets.  Exists only for the `benchmark/`
+/// workspace, which pins this name; other code calls [`analyze_suite`].
+pub fn analyze_suite_with(jobs: &[SuiteProgram], cache: &SolveCache) -> BatchAnalysis {
+    analyze_suite(jobs, cache, None, None)
 }
 
 /// Parse a `--timeout-ms` / `SOAP_TIMEOUT_MS`-style millisecond budget.
@@ -233,7 +221,7 @@ pub fn parse_timeout_ms(raw: &str) -> Option<Duration> {
     Some(Duration::from_millis(ms))
 }
 
-/// The batch engine behind [`analyze_suite_with`], with the per-program
+/// The batch engine behind [`analyze_suite`], with the per-program
 /// analysis injectable so the panic-isolation discipline is testable without
 /// manufacturing a program whose real analysis panics.
 fn analyze_suite_inner(
@@ -367,7 +355,7 @@ mod tests {
             SuiteProgram::with_default_opts(matmul("mm1", ["i", "j", "k"])),
             SuiteProgram::with_default_opts(matmul("mm2", ["p", "q", "r"])),
         ];
-        let batch = analyze_suite(&jobs);
+        let batch = analyze_suite(&jobs, &SolveCache::new(), None, None);
         assert_eq!(batch.summary.programs, 2);
         assert_eq!(batch.summary.failures, 0);
         assert!(
@@ -385,7 +373,8 @@ mod tests {
         );
         // And the bounds are identical to standalone analyses.
         for (job, report) in jobs.iter().zip(&batch.reports) {
-            let standalone = crate::analyze_program_with(&job.program, &job.opts).unwrap();
+            let standalone =
+                analyze_program(&job.program, &job.opts, &SolveCache::new(), None).unwrap();
             let batched = report.outcome.as_ref().unwrap();
             assert_eq!(
                 format!("{}", standalone.bound),
@@ -405,7 +394,7 @@ mod tests {
             SuiteProgram::with_default_opts(matmul("mm", ["p", "q", "r"])),
             SuiteProgram::with_default_opts(literal),
         ];
-        let batch = analyze_suite(&jobs);
+        let batch = analyze_suite(&jobs, &SolveCache::new(), None, None);
         let names: Vec<&str> = batch.reports.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names, vec!["mm", "mm#3", "mm#2"]);
         assert_eq!(batch.summary.duplicate_names, 1);
@@ -414,10 +403,15 @@ mod tests {
             assert!(batch.report(name).unwrap().outcome.is_ok(), "{name}");
         }
         // Unique names stay verbatim and report no duplicates.
-        let unique = analyze_suite(&[SuiteProgram::with_default_opts(matmul(
-            "only",
-            ["i", "j", "k"],
-        ))]);
+        let unique = analyze_suite(
+            &[SuiteProgram::with_default_opts(matmul(
+                "only",
+                ["i", "j", "k"],
+            ))],
+            &SolveCache::new(),
+            None,
+            None,
+        );
         assert_eq!(unique.summary.duplicate_names, 0);
         assert_eq!(unique.reports[0].name, "only");
     }
@@ -432,14 +426,14 @@ mod tests {
         ];
         let cold = {
             let cache = SolveCache::with_store(&dir).expect("store opens");
-            let batch = analyze_suite_with(&jobs, &cache);
+            let batch = analyze_suite(&jobs, &cache, None, None);
             assert!(batch.summary.cache.misses > 0);
             assert_eq!(batch.summary.cache.store_hits, 0);
             cache.flush_store().expect("flush succeeds");
             batch
         };
         let cache = SolveCache::with_store(&dir).expect("store reopens");
-        let warm = analyze_suite_with(&jobs, &cache);
+        let warm = analyze_suite(&jobs, &cache, None, None);
         assert_eq!(warm.summary.cache.misses, 0, "{:?}", warm.summary.cache);
         assert_eq!(warm.summary.cache.uncacheable, 0);
         // The warm run is answered from persisted *report* records — the
@@ -497,7 +491,7 @@ mod tests {
             SuiteProgram::with_default_opts(invalid),
             SuiteProgram::with_default_opts(matmul("ok2", ["p", "q", "r"])),
         ];
-        let batch = analyze_suite(&jobs);
+        let batch = analyze_suite(&jobs, &SolveCache::new(), None, None);
         assert_eq!(batch.summary.programs, 3);
         assert_eq!(batch.summary.failures, 1);
         assert!(batch.report("ok").unwrap().outcome.is_ok());
@@ -514,7 +508,12 @@ mod tests {
             .statement(|st| st.loops(&[("i", "0", "N")]).write("Z", "0"))
             .build()
             .unwrap();
-        let batch = analyze_suite(&[SuiteProgram::with_default_opts(init_only)]);
+        let batch = analyze_suite(
+            &[SuiteProgram::with_default_opts(init_only)],
+            &SolveCache::new(),
+            None,
+            None,
+        );
         assert_eq!(batch.summary.failures, 0);
         let init = batch.report("init_only").unwrap().outcome.as_ref().unwrap();
         assert!(!init.notes.is_empty());
@@ -538,7 +537,7 @@ mod tests {
         // A zero program budget is expired before any work starts, so every
         // cancellation trips at its deterministic commit point: the suite
         // must complete with degraded (not failed) reports and a zero bound.
-        let batch = analyze_suite_governed(&jobs, &SolveCache::new(), Some(Duration::ZERO), None);
+        let batch = analyze_suite(&jobs, &SolveCache::new(), Some(Duration::ZERO), None);
         assert_eq!(batch.summary.failures, 0, "degraded is not failure");
         assert_eq!(batch.summary.degraded, 2);
         assert!(batch.summary.arrays_deferred >= 2);
@@ -552,20 +551,13 @@ mod tests {
                 analysis.notes
             );
         }
-        // With no budgets the governed entry point is exactly the ungoverned
-        // one — byte-identical output and no degradation accounting.
-        let ungoverned = analyze_suite_governed(&jobs, &SolveCache::new(), None, None);
-        assert_eq!(ungoverned.summary.degraded, 0);
-        assert_eq!(ungoverned.summary.arrays_deferred, 0);
-        let baseline = analyze_suite(&jobs);
-        for (a, b) in ungoverned.reports.iter().zip(&baseline.reports) {
-            assert_eq!(
-                format!("{}", a.outcome.as_ref().unwrap().bound),
-                format!("{}", b.outcome.as_ref().unwrap().bound)
-            );
-        }
-        // A generous budget changes nothing either.
-        let generous = analyze_suite_governed(
+        // With no budgets nothing degrades and there is no degradation
+        // accounting.
+        let baseline = analyze_suite(&jobs, &SolveCache::new(), None, None);
+        assert_eq!(baseline.summary.degraded, 0);
+        assert_eq!(baseline.summary.arrays_deferred, 0);
+        // A generous budget changes nothing: byte-identical bounds.
+        let generous = analyze_suite(
             &jobs,
             &SolveCache::new(),
             Some(Duration::from_secs(3600)),
@@ -598,7 +590,7 @@ mod tests {
             if job.name == "poison" {
                 panic!("injected analysis bug");
             }
-            analyze_program_with_cache(&job.program, &job.opts, &cache)
+            analyze_program(&job.program, &job.opts, &cache, None)
         });
         assert_eq!(batch.summary.programs, 3);
         assert_eq!(batch.summary.failures, 1);

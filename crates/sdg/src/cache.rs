@@ -51,10 +51,7 @@
 //! cold ones.
 
 use crate::store::{SolveStore, StoreFlushStats, StoreLoadStats, StoredReport};
-use soap_core::{
-    solve_model_instrumented_governed, solve_model_precompiled_governed, AccessModel,
-    AnalysisError, IntensityResult,
-};
+use soap_core::{solve_model, AccessModel, AnalysisError, IntensityResult};
 use soap_symbolic::{
     CompiledConstraint, CompiledPosynomial, Deadline, Expr, MaxPosynomial, Rational,
 };
@@ -542,8 +539,8 @@ pub struct CacheSession<'a> {
     cache: &'a SolveCache,
     scope: u64,
     local: CacheCounters,
-    /// The deadline governing every solve of this session, when opened with
-    /// [`SolveCache::session_governed`].  A solve cancelled by it returns
+    /// The deadline governing every solve of this session (see
+    /// [`SolveCache::session`]).  A solve cancelled by it returns
     /// [`AnalysisError::Cancelled`] and leaves no trace in the cache.
     deadline: Option<Deadline>,
 }
@@ -794,16 +791,13 @@ impl SolveCache {
     /// shared cache distinguishes cross-program hits from intra-program hits:
     /// a hit on an entry first inserted by a different session counts as
     /// cross-program.
-    pub fn session(&self) -> CacheSession<'_> {
-        self.session_governed(None)
-    }
-
-    /// [`SolveCache::session`] under an optional [`Deadline`]: every solve of
-    /// the session polls the deadline inside its KKT loops and returns
-    /// [`AnalysisError::Cancelled`] when it expires mid-solve.  A cancelled
-    /// solve is never cached and never persisted — the entry is unmapped so
-    /// later requesters (with fresh budgets) retry it cleanly.
-    pub fn session_governed(&self, deadline: Option<Deadline>) -> CacheSession<'_> {
+    ///
+    /// Under a [`Deadline`] every solve of the session polls it inside its
+    /// KKT loops and returns [`AnalysisError::Cancelled`] when it expires
+    /// mid-solve.  A cancelled solve is never cached and never persisted —
+    /// the entry is unmapped so later requesters (with fresh budgets) retry
+    /// it cleanly.
+    pub fn session(&self, deadline: Option<Deadline>) -> CacheSession<'_> {
         CacheSession {
             cache: self,
             scope: self.scopes.fetch_add(1, Ordering::Relaxed) + 1,
@@ -860,7 +854,7 @@ impl SolveCache {
             self.bump(local, |c| &c.uncacheable, 1);
             // lint:allow(instant-now): solve timing is perf metadata on the report; bound computation never depends on it
             let solve_start = std::time::Instant::now();
-            let (solved, info) = solve_model_instrumented_governed(model, deadline);
+            let (solved, info) = solve_model(model, None, deadline);
             self.bump(local, |c| &c.solve_ns, elapsed_ns(solve_start));
             self.bump(local, |c| &c.kkt_cap_hits, u64::from(info.cap_hits));
             return solved;
@@ -905,14 +899,9 @@ impl SolveCache {
                 // lint:allow(instant-now): solve timing is perf metadata on the report; bound computation never depends on it
                 let solve_start = std::time::Instant::now();
                 let canonical_model = canonical_access_model(&key);
-                let (compiled_objective, compiled_dominator) = canonical_compiled_forms(&key);
+                let compiled = canonical_compiled_forms(&key);
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    solve_model_precompiled_governed(
-                        &canonical_model,
-                        compiled_objective,
-                        compiled_dominator,
-                        deadline,
-                    )
+                    solve_model(&canonical_model, Some(compiled), deadline)
                 }));
                 solve_ns = elapsed_ns(solve_start);
                 match outcome {
@@ -1166,7 +1155,6 @@ fn relabel_error(e: AnalysisError, name: &str) -> AnalysisError {
 mod tests {
     use super::*;
     use soap_core::access_size::tile_var;
-    use soap_core::solve_model;
 
     fn dv(v: &str) -> Expr {
         Expr::sym(tile_var(v))
@@ -1304,7 +1292,7 @@ mod tests {
         let first = cache.solve(&union_model("first", ["i", "j", "k"])).unwrap();
         let renamed = union_model("renamed", ["c", "a", "b"]);
         let hit = cache.solve(&renamed).unwrap();
-        let direct = solve_model(&renamed).unwrap();
+        let direct = solve_model(&renamed, None, None).0.unwrap();
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
@@ -1424,7 +1412,7 @@ mod tests {
         expired.cancel();
         // The governed session's solve is cancelled at the cache's init
         // commit point...
-        let session = cache.session_governed(Some(expired));
+        let session = cache.session(Some(expired));
         let err = session.solve(&mmm_model("governed", ["i", "j", "k"]));
         assert!(
             matches!(err, Err(AnalysisError::Cancelled(_))),
@@ -1449,7 +1437,7 @@ mod tests {
             let cache = SolveCache::with_store(&dir).unwrap();
             let expired = Deadline::never();
             expired.cancel();
-            let session = cache.session_governed(Some(expired));
+            let session = cache.session(Some(expired));
             assert!(matches!(
                 session.solve(&mmm_model("cancelled", ["i", "j", "k"])),
                 Err(AnalysisError::Cancelled(_))
@@ -1465,10 +1453,12 @@ mod tests {
     #[test]
     fn governed_session_with_a_live_deadline_matches_ungoverned_output() {
         let governed_cache = SolveCache::new();
-        let session = governed_cache.session_governed(Some(Deadline::never()));
+        let session = governed_cache.session(Some(Deadline::never()));
         let governed = session.solve(&mmm_model("m", ["i", "j", "k"])).unwrap();
         drop(session);
-        let direct = solve_model(&mmm_model("m", ["i", "j", "k"])).unwrap();
+        let direct = solve_model(&mmm_model("m", ["i", "j", "k"]), None, None)
+            .0
+            .unwrap();
         assert_eq!(governed.sigma, direct.sigma);
         assert_eq!(governed.chi_coeff.to_bits(), direct.chi_coeff.to_bits());
         assert_eq!(format!("{}", governed.rho), format!("{}", direct.rho));
@@ -1481,7 +1471,7 @@ mod tests {
         let first = cache.solve(&mmm_model("first", ["i", "j", "k"])).unwrap();
         let renamed = mmm_model("renamed", ["c", "a", "b"]);
         let hit = cache.solve(&renamed).unwrap();
-        let direct = solve_model(&renamed).unwrap();
+        let direct = solve_model(&renamed, None, None).0.unwrap();
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(hit.name, "renamed");

@@ -460,10 +460,10 @@ mod tests {
             "vars: {:?}",
             model.tile_variables
         );
-        let res = solve_model(&model).unwrap();
+        let res = solve_model(&model, None, None).0.unwrap();
         assert_eq!(res.sigma, Rational::int(2));
         let singleton = merged_model(&p, &["E".into()], &AnalysisOptions::default()).unwrap();
-        let single_res = solve_model(&singleton).unwrap();
+        let single_res = solve_model(&singleton, None, None).0.unwrap();
         assert!(res.rho_at(10_000.0) > single_res.rho_at(10_000.0));
     }
 
@@ -471,7 +471,7 @@ mod tests {
     fn singleton_subgraph_keeps_external_inputs() {
         let p = figure2();
         let model = merged_model(&p, &["E".into()], &AnalysisOptions::default()).unwrap();
-        let res = solve_model(&model).unwrap();
+        let res = solve_model(&model, None, None).0.unwrap();
         // {E} alone is ordinary matrix multiplication with C, D external.
         assert_eq!(res.sigma, Rational::new(3, 2));
     }
@@ -496,7 +496,7 @@ mod tests {
             .unwrap();
         let model =
             merged_model(&p, &["tmp".into(), "y".into()], &AnalysisOptions::default()).unwrap();
-        let res = solve_model(&model).unwrap();
+        let res = solve_model(&model, None, None).0.unwrap();
         // Fusing the two statements reuses the A tile: σ = 1, ρ → 2.
         assert_eq!(res.sigma, Rational::ONE);
         assert!(

@@ -39,8 +39,14 @@ use std::sync::{Arc, Condvar, Mutex};
 ///
 /// Equal hashes are *intended* to mean structurally identical programs
 /// (modulo loop-variable names); as with any 64-bit digest, collisions are
-/// possible in principle, so this keys caches of *derived results* (safe to
-/// conflate in the worst case) rather than correctness-critical identity.
+/// possible, and conflating two programs is **not** safe.  Nothing checks
+/// the program on a hit: the serve memo would answer a colliding request
+/// with the other program's bound, and the report layer, keyed through
+/// [`structural_program_key`], would persist that bound to disk — a bound
+/// that may be unsound for the program that asked.  The FNV-1a input
+/// includes client-controlled bytes (array names in POSTed source), so a
+/// collision can be crafted.  The ROADMAP item "Whole-program identity by
+/// canonical form" tracks replacing this digest with a checked identity.
 ///
 /// ```
 /// use soap_sdg::service::canonical_program_hash;

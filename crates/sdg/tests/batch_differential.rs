@@ -1,16 +1,18 @@
 //! Differential tests for the cross-program batch engine: `analyze_suite`
 //! over the full 38-kernel registry must produce **byte-identical**
-//! `ProgramAnalysis` output to sequential per-program `analyze_program_with`
-//! calls — under shard counts {1, 4, 16} and with the programs in reversed
-//! order — while actually deduplicating structures across programs.
+//! `ProgramAnalysis` output to sequential per-program `analyze_program`
+//! calls — under shard counts {1, 4, 16}, with the programs in reversed
+//! order, and under generous budgets — while actually deduplicating
+//! structures across programs.
 //!
 //! "Byte-identical" includes the *unsnapped* floats (`chi_coeff`,
 //! `tile_coeffs`, `rho_ref`), compared bit-for-bit: the cache solves the
 //! canonical model of every structure, so which program triggers the first
 //! solve must not leak into any output.
 
-use soap_sdg::{analyze_program_with, analyze_suite_with, SdgOptions, SolveCache, SuiteProgram};
+use soap_sdg::{analyze_program, analyze_suite, SdgOptions, SolveCache, SuiteProgram};
 use std::fmt::Write as _;
+use std::time::Duration;
 
 /// The Table-2 analysis options of a registry entry.
 fn jobs() -> Vec<SuiteProgram> {
@@ -34,6 +36,11 @@ fn dump(analysis: &soap_sdg::ProgramAnalysis) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "program {}", analysis.name);
     let _ = writeln!(out, "bound {}", analysis.bound);
+    let _ = writeln!(
+        out,
+        "degraded {} deferred {}",
+        analysis.degraded, analysis.arrays_deferred
+    );
     for a in &analysis.per_array {
         let _ = writeln!(
             out,
@@ -71,7 +78,7 @@ fn batch_registry_is_byte_identical_to_sequential_per_program_analysis() {
     let baseline: Vec<String> = jobs
         .iter()
         .map(|job| {
-            let analysis = analyze_program_with(&job.program, &job.opts)
+            let analysis = analyze_program(&job.program, &job.opts, &SolveCache::new(), None)
                 .unwrap_or_else(|e| panic!("{}: {e}", job.name));
             dump(&analysis)
         })
@@ -79,7 +86,7 @@ fn batch_registry_is_byte_identical_to_sequential_per_program_analysis() {
 
     for shards in [1usize, 4, 16] {
         let cache = SolveCache::with_shards(shards);
-        let batch = analyze_suite_with(&jobs, &cache);
+        let batch = analyze_suite(&jobs, &cache, None, None);
         assert_eq!(batch.summary.failures, 0, "shards={shards}");
         for (expected, report) in baseline.iter().zip(&batch.reports) {
             let analysis = report.outcome.as_ref().expect("analysis succeeds");
@@ -96,7 +103,7 @@ fn batch_registry_is_byte_identical_to_sequential_per_program_analysis() {
     // the same baseline.
     let reversed: Vec<SuiteProgram> = jobs.iter().rev().cloned().collect();
     let cache = SolveCache::with_shards(16);
-    let batch = analyze_suite_with(&reversed, &cache);
+    let batch = analyze_suite(&reversed, &cache, None, None);
     assert_eq!(batch.summary.failures, 0);
     for (expected, report) in baseline.iter().rev().zip(&batch.reports) {
         let analysis = report.outcome.as_ref().expect("analysis succeeds");
@@ -104,6 +111,22 @@ fn batch_registry_is_byte_identical_to_sequential_per_program_analysis() {
             expected,
             &dump(analysis),
             "{}: reversed-order batch output diverged from sequential analysis",
+            report.name
+        );
+    }
+
+    // Every analysis runs the governed code path: a budget that never runs
+    // out must not change a single byte either.
+    let hour = Some(Duration::from_secs(3600));
+    let batch = analyze_suite(&jobs, &SolveCache::new(), hour, hour);
+    assert_eq!(batch.summary.failures, 0);
+    assert_eq!(batch.summary.degraded, 0);
+    for (expected, report) in baseline.iter().zip(&batch.reports) {
+        let analysis = report.outcome.as_ref().expect("analysis succeeds");
+        assert_eq!(
+            expected,
+            &dump(analysis),
+            "{}: generously budgeted batch output diverged from the no-budget analysis",
             report.name
         );
     }
@@ -131,7 +154,7 @@ fn polybench_linear_algebra_family_hits_across_programs() {
         })
         .collect();
     let cache = SolveCache::new();
-    let batch = analyze_suite_with(&jobs, &cache);
+    let batch = analyze_suite(&jobs, &cache, None, None);
     assert_eq!(batch.summary.failures, 0);
     let stats = batch.summary.cache;
     assert!(

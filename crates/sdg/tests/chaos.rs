@@ -14,7 +14,7 @@
 
 use soap_kernels::registry;
 use soap_sdg::{
-    analyze_suite_with, enumerate_connected_subgraphs, override_plan, FaultPlan, Sdg, SdgOptions,
+    analyze_suite, enumerate_connected_subgraphs, override_plan, FaultPlan, Sdg, SdgOptions,
     SolveCache, SolveStore, SuiteProgram,
 };
 use std::collections::BTreeSet;
@@ -106,7 +106,7 @@ fn assert_reconciled(analysis: &soap_sdg::ProgramAnalysis) {
 /// a stray `SOAP_FAULT_PLAN` in the environment cannot leak in.
 fn baseline() -> Vec<(String, String)> {
     let _guard = override_plan(None);
-    let batch = analyze_suite_with(&jobs(), &SolveCache::new());
+    let batch = analyze_suite(&jobs(), &SolveCache::new(), None, None);
     assert_eq!(batch.summary.failures, 0);
     batch
         .reports
@@ -153,7 +153,7 @@ fn injected_panics_stay_isolated_and_accounting_reconciles() {
     );
 
     let _guard = override_plan(Some(plan));
-    let batch = analyze_suite_with(&jobs, &SolveCache::new());
+    let batch = analyze_suite(&jobs, &SolveCache::new(), None, None);
     // Panics are absorbed per-subgraph: nothing aborts, no program errors.
     assert_eq!(batch.summary.failures, 0);
     assert_eq!(batch.summary.programs, jobs.len());
@@ -185,7 +185,7 @@ fn injected_panics_stay_isolated_and_accounting_reconciles() {
 fn seed_store(dir: &Path) -> Vec<(String, String)> {
     let _guard = override_plan(None);
     let cache = SolveCache::with_store(dir).expect("store opens");
-    let batch = analyze_suite_with(&jobs(), &cache);
+    let batch = analyze_suite(&jobs(), &cache, None, None);
     assert_eq!(batch.summary.failures, 0);
     let flushed = cache.flush_store().expect("flush succeeds");
     assert!(flushed.appended > 0, "cold run must persist solutions");
@@ -212,7 +212,7 @@ fn transient_store_read_faults_heal_inside_the_retry_loop() {
     let stats = cache.store_load_stats().expect("store stats present");
     assert_eq!(stats.segments_rejected, 0, "notes: {:?}", stats.notes);
     assert_eq!(stats.quarantined, 0);
-    let warm = analyze_suite_with(&jobs(), &cache);
+    let warm = analyze_suite(&jobs(), &cache, None, None);
     assert_eq!(warm.summary.failures, 0);
     assert_eq!(
         warm.summary.cache.misses, 0,
@@ -251,7 +251,7 @@ fn permanent_store_read_faults_reject_segments_without_aborting() {
         "rejection must be noted: {:?}",
         stats.notes
     );
-    let warm = analyze_suite_with(&jobs(), &cache);
+    let warm = analyze_suite(&jobs(), &cache, None, None);
     assert_eq!(warm.summary.failures, 0);
     for ((name, expected), report) in cold.iter().zip(&warm.reports) {
         assert_eq!(name, &report.name);
@@ -287,7 +287,7 @@ fn corrupt_segments_are_quarantined_once_and_stay_silent_after() {
     assert!(stats.records_skipped > 0);
     assert_eq!(stats.quarantined, segments_before);
     assert!(stats.notes.iter().any(|n| n.contains("quarantined")));
-    let warm = analyze_suite_with(&jobs(), &cache);
+    let warm = analyze_suite(&jobs(), &cache, None, None);
     assert_eq!(warm.summary.failures, 0);
     for ((name, expected), report) in cold.iter().zip(&warm.reports) {
         assert_eq!(name, &report.name);

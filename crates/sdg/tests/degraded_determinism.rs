@@ -7,7 +7,7 @@
 
 use soap_kernels::registry;
 use soap_sdg::{
-    analyze_suite_with, override_plan, set_worker_budget, FaultPlan, SdgOptions, SolveCache,
+    analyze_suite, override_plan, set_worker_budget, FaultPlan, SdgOptions, SolveCache,
     SuiteProgram,
 };
 use std::collections::BTreeMap;
@@ -103,7 +103,7 @@ fn plan_tripped_degraded_output_is_identical_across_budgets_and_shards() {
     let guard = override_plan(Some(plan));
 
     let baseline: Vec<String> = with_budget(1, || {
-        let batch = analyze_suite_with(&jobs, &SolveCache::with_shards(1));
+        let batch = analyze_suite(&jobs, &SolveCache::with_shards(1), None, None);
         assert_eq!(batch.summary.failures, 0, "degraded is not failed");
         assert!(
             batch.summary.degraded > 0,
@@ -123,7 +123,7 @@ fn plan_tripped_degraded_output_is_identical_across_budgets_and_shards() {
     for budget in [1usize, 4] {
         for shards in [1usize, 16] {
             let batch = with_budget(budget, || {
-                analyze_suite_with(&jobs, &SolveCache::with_shards(shards))
+                analyze_suite(&jobs, &SolveCache::with_shards(shards), None, None)
             });
             assert_eq!(batch.summary.failures, 0, "budget={budget} shards={shards}");
             for (expected, report) in baseline.iter().zip(&batch.reports) {
@@ -144,7 +144,7 @@ fn degraded_bounds_never_exceed_the_full_bounds() {
     let jobs = jobs();
     let full: Vec<f64> = {
         let _guard = override_plan(None);
-        let batch = analyze_suite_with(&jobs, &SolveCache::new());
+        let batch = analyze_suite(&jobs, &SolveCache::new(), None, None);
         assert_eq!(batch.summary.failures, 0);
         batch
             .reports
@@ -162,7 +162,7 @@ fn degraded_bounds_never_exceed_the_full_bounds() {
             cancel_at_subgraph: Some(cancel_at),
             ..FaultPlan::default()
         }));
-        let batch = analyze_suite_with(&jobs, &SolveCache::new());
+        let batch = analyze_suite(&jobs, &SolveCache::new(), None, None);
         assert_eq!(batch.summary.failures, 0, "cancel_at={cancel_at}");
         for ((report, job), full_bound) in batch.reports.iter().zip(&jobs).zip(&full) {
             let analysis = report.outcome.as_ref().expect("analysis succeeds");

@@ -11,7 +11,7 @@
 
 use soap_ir::{Program, ProgramBuilder};
 use soap_sdg::subgraphs::{enumerate_connected_subgraphs, enumerate_connected_subgraphs_naive};
-use soap_sdg::{analyze_suite_with, set_worker_budget, Sdg, SdgOptions, SolveCache, SuiteProgram};
+use soap_sdg::{analyze_suite, set_worker_budget, Sdg, SdgOptions, SolveCache, SuiteProgram};
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
@@ -84,7 +84,7 @@ fn registry_output_is_byte_identical_across_thread_budgets_and_shards() {
     let jobs = jobs();
     // Reference: single-threaded run (every par_iter inlined) over one shard.
     let baseline: Vec<String> = with_budget(1, || {
-        let batch = analyze_suite_with(&jobs, &SolveCache::with_shards(1));
+        let batch = analyze_suite(&jobs, &SolveCache::with_shards(1), None, None);
         assert_eq!(batch.summary.failures, 0);
         batch
             .reports
@@ -96,7 +96,7 @@ fn registry_output_is_byte_identical_across_thread_budgets_and_shards() {
     for budget in [1usize, 2, 8] {
         for shards in [1usize, 16] {
             let batch = with_budget(budget, || {
-                analyze_suite_with(&jobs, &SolveCache::with_shards(shards))
+                analyze_suite(&jobs, &SolveCache::with_shards(shards), None, None)
             });
             assert_eq!(batch.summary.failures, 0, "budget={budget} shards={shards}");
             assert_eq!(batch.summary.programs, jobs.len());
@@ -205,7 +205,7 @@ fn skewed_program_analysis_is_thread_count_invariant() {
         },
     )];
     let baseline = with_budget(1, || {
-        let batch = analyze_suite_with(&jobs, &SolveCache::with_shards(1));
+        let batch = analyze_suite(&jobs, &SolveCache::with_shards(1), None, None);
         assert_eq!(batch.summary.failures, 0);
         dump(
             batch.reports[0]
@@ -216,7 +216,7 @@ fn skewed_program_analysis_is_thread_count_invariant() {
     });
     for budget in [2usize, 8] {
         let batch = with_budget(budget, || {
-            analyze_suite_with(&jobs, &SolveCache::with_shards(16))
+            analyze_suite(&jobs, &SolveCache::with_shards(16), None, None)
         });
         assert_eq!(batch.summary.failures, 0);
         assert_eq!(

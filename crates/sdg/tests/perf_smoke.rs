@@ -6,7 +6,7 @@
 //! merge / simplification hot paths, not a benchmark — the `benchmark/`
 //! workspace (see `BENCHMARK.json`) produces the real numbers.
 
-use soap_sdg::{analyze_program_with, SdgOptions};
+use soap_sdg::{analyze_program, SdgOptions, SolveCache};
 use std::time::{Duration, Instant};
 
 #[path = "common/fixtures.rs"]
@@ -25,7 +25,8 @@ fn thirty_five_statement_chain_analyzes_within_budget() {
         ..SdgOptions::default()
     };
     let start = Instant::now();
-    let analysis = analyze_program_with(&program, &opts).expect("analysis succeeds");
+    let analysis =
+        analyze_program(&program, &opts, &SolveCache::new(), None).expect("analysis succeeds");
     let elapsed = start.elapsed();
     assert!(
         elapsed < BUDGET,

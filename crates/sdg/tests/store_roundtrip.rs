@@ -6,9 +6,7 @@
 //! answers.
 
 use soap_kernels::registry;
-use soap_sdg::{
-    analyze_suite_with, SdgOptions, SolveCache, SolveStore, SuiteProgram, STORE_HEADER,
-};
+use soap_sdg::{analyze_suite, SdgOptions, SolveCache, SolveStore, SuiteProgram, STORE_HEADER};
 use std::path::{Path, PathBuf};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -46,7 +44,7 @@ fn jobs_for(names: &[&str]) -> Vec<SuiteProgram> {
 /// number of structures persisted.
 fn seed_store(dir: &Path, jobs: &[SuiteProgram]) -> usize {
     let cache = SolveCache::with_store(dir).expect("store opens");
-    analyze_suite_with(jobs, &cache);
+    analyze_suite(jobs, &cache, None, None);
     cache.flush_store().expect("flush succeeds").appended
 }
 
@@ -56,7 +54,7 @@ fn full_registry_round_trips_byte_identically() {
     let jobs = registry_jobs();
 
     let cold_cache = SolveCache::with_store(&dir).expect("store opens");
-    let cold = analyze_suite_with(&jobs, &cold_cache);
+    let cold = analyze_suite(&jobs, &cold_cache, None, None);
     assert_eq!(cold.summary.failures, 0);
     assert!(cold.summary.cache.misses > 0);
     let flushed = cold_cache.flush_store().expect("flush succeeds").appended;
@@ -77,7 +75,7 @@ fn full_registry_round_trips_byte_identically() {
     assert_eq!(load.records_skipped, 0, "notes: {:?}", load.notes);
     assert_eq!(load.segments_rejected, 0);
     assert_eq!(load.entries, flushed);
-    let warm = analyze_suite_with(&jobs, &warm_cache);
+    let warm = analyze_suite(&jobs, &warm_cache, None, None);
 
     // The acceptance bar: a warm run over the full registry re-solves
     // nothing...
@@ -162,7 +160,7 @@ fn truncated_record_is_skipped_with_a_counted_note() {
 
     // The surviving entries still answer; only the lost structure re-solves,
     // and a flush heals the store.
-    let warm = analyze_suite_with(&jobs_for(&["gemm", "mvt"]), &cache);
+    let warm = analyze_suite(&jobs_for(&["gemm", "mvt"]), &cache, None, None);
     assert_eq!(warm.summary.failures, 0);
     assert_eq!(warm.summary.cache.misses, 1);
     cache.flush_store().expect("flush heals");
@@ -184,7 +182,7 @@ fn full_registry_round_trips_from_report_records() {
     let jobs = registry_jobs();
 
     let cold_cache = SolveCache::with_store(&dir).expect("store opens");
-    let cold = analyze_suite_with(&jobs, &cold_cache);
+    let cold = analyze_suite(&jobs, &cold_cache, None, None);
     assert_eq!(cold.summary.failures, 0);
     assert_eq!(cold.summary.cache.report_hits, 0);
     let flush = cold_cache.flush_store().expect("flush succeeds");
@@ -198,7 +196,7 @@ fn full_registry_round_trips_from_report_records() {
     let report_load = warm_cache.report_load_stats().unwrap().clone();
     assert_eq!(report_load.records_skipped, 0, "{:?}", report_load.notes);
     assert_eq!(report_load.entries, flush.reports_appended);
-    let warm = analyze_suite_with(&jobs, &warm_cache);
+    let warm = analyze_suite(&jobs, &warm_cache, None, None);
     assert_eq!(warm.summary.failures, 0);
     assert_eq!(
         warm.summary.cache.report_hits,
@@ -277,7 +275,7 @@ fn v1_solve_only_store_migrates_cleanly() {
     assert_eq!(report_load.segments, 0);
     assert_eq!(report_load.entries, 0);
     assert!(report_load.notes.is_empty(), "{:?}", report_load.notes);
-    let warm = analyze_suite_with(&jobs, &cache);
+    let warm = analyze_suite(&jobs, &cache, None, None);
     assert_eq!(warm.summary.failures, 0);
     assert_eq!(warm.summary.cache.misses, 0, "{:?}", warm.summary.cache);
     assert_eq!(warm.summary.cache.report_hits, 0);
@@ -316,7 +314,7 @@ fn format_version_mismatch_is_rejected_cleanly() {
         load.notes
     );
     assert!(load.notes.iter().any(|n| n.contains("missing")));
-    let warm = analyze_suite_with(&jobs_for(&["gemm"]), &cache);
+    let warm = analyze_suite(&jobs_for(&["gemm"]), &cache, None, None);
     assert_eq!(warm.summary.cache.misses, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -330,8 +328,8 @@ fn two_caches_flushing_into_one_directory_converge() {
     let cache_b = SolveCache::with_store(&dir).expect("store opens concurrently");
     let jobs_a = jobs_for(&["gemm", "2mm"]);
     let jobs_b = jobs_for(&["2mm", "mvt"]);
-    let a = analyze_suite_with(&jobs_a, &cache_a);
-    let b = analyze_suite_with(&jobs_b, &cache_b);
+    let a = analyze_suite(&jobs_a, &cache_a, None, None);
+    let b = analyze_suite(&jobs_b, &cache_b, None, None);
     cache_a.flush_store().expect("A flushes");
     cache_b.flush_store().expect("B flushes");
     assert!(a.summary.cache.misses > 0 && b.summary.cache.misses > 0);
@@ -344,7 +342,7 @@ fn two_caches_flushing_into_one_directory_converge() {
     assert_eq!(load.segments, 2);
     assert_eq!(load.records_skipped, 0);
     assert!(load.records > load.entries, "overlap written twice");
-    let both = analyze_suite_with(&jobs_for(&["gemm", "2mm", "mvt"]), &merged);
+    let both = analyze_suite(&jobs_for(&["gemm", "2mm", "mvt"]), &merged, None, None);
     assert_eq!(both.summary.failures, 0);
     assert_eq!(both.summary.cache.misses, 0, "{:?}", both.summary.cache);
     assert_eq!(both.summary.cache.store_hits, both.summary.cache.hits);

@@ -9,7 +9,7 @@
 //! already proved out:
 //!
 //! * **Analysis** goes through
-//!   [`analyze_program_governed`] with the
+//!   [`analyze_program`] with the
 //!   process-lifetime sharded [`SolveCache`] — structurally identical subgraph
 //!   models are solved once per process, and with `--cache-dir` once *ever*
 //!   (the disk store is the shared warm state across replicas and restarts).
@@ -49,7 +49,7 @@
 #![warn(missing_docs)]
 
 use soap_sdg::{
-    analyze_program_governed, canonical_program_hash, parse_timeout_ms, Claim, Deadline, InFlight,
+    analyze_program, canonical_program_hash, parse_timeout_ms, Claim, Deadline, InFlight,
     ProgramAnalysis, SdgOptions, SolveCache,
 };
 use std::collections::{HashMap, VecDeque};
@@ -566,7 +566,7 @@ impl AnalysisService {
             ..SdgOptions::default()
         };
         let result = catch_unwind(AssertUnwindSafe(|| {
-            analyze_program_governed(program, &opts, &self.cache, deadline)
+            analyze_program(program, &opts, &self.cache, deadline)
         }));
         match result {
             Ok(Ok(analysis)) => {

@@ -196,8 +196,9 @@ pub struct PowerLaw {
     pub exponent: Rational,
 }
 
-/// Per-call accounting returned by the instrumented solver entry points,
-/// aggregated over one or more KKT solves.
+/// Per-call accounting returned by [`ConstrainedProduct::solve`] and
+/// [`ConstrainedProduct::fit_power_law`], aggregated over one or more KKT
+/// solves.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveInfo {
     /// KKT solves performed.
@@ -353,42 +354,23 @@ impl ConstrainedProduct {
     /// Dispatches to the compiled-posynomial fast path (analytic gradients,
     /// Newton constraint projection) when compilation succeeded at
     /// construction; the `Expr`-eval reference path otherwise.
-    pub fn solve(&self, x: f64) -> ProductSolution {
-        self.solve_instrumented(x).0
-    }
-
-    /// [`Self::solve`] plus per-call accounting: iteration count, whether the
-    /// iteration budget was exhausted, and whether the constraint is in
-    /// max-posynomial form.  The cross-subgraph cache uses this to surface
-    /// non-convergence in `SolverSummary` instead of silently returning the
-    /// last iterate.
-    pub fn solve_instrumented(&self, x: f64) -> (ProductSolution, SolveInfo) {
-        self.solve_seeded_instrumented(x, None)
-    }
-
-    /// [`Self::solve_instrumented`] with a warm-start shape: the iteration
-    /// begins from `warm` (projected back onto the constraint) instead of the
-    /// symmetric cold start.  The power-law probes and the tile-shape solve
-    /// are the same problem at different `X`, so continuing from the previous
-    /// optimum removes almost all travel — and keeps every probe in the same
-    /// basin, which a multi-extremal objective does not guarantee for
-    /// independent cold starts.
-    pub fn solve_seeded_instrumented(
-        &self,
-        x: f64,
-        warm: Option<&[f64]>,
-    ) -> (ProductSolution, SolveInfo) {
-        self.solve_seeded_governed(x, warm, None)
-            // lint:allow(unwrap-expect): Deadline::none() never expires; this solve is explicitly ungoverned
-            .expect("ungoverned solve cannot expire")
-    }
-
-    /// [`Self::solve_seeded_instrumented`] under a [`Deadline`]: the KKT loop
-    /// polls the deadline every few iterations and returns [`Expired`] instead
-    /// of an iterate when the budget is gone.  An expired solve records
-    /// nothing into the process-wide histogram — it is not a solve, capped or
-    /// otherwise, just abandoned work.
-    pub fn solve_seeded_governed(
+    ///
+    /// `warm` is a warm-start shape: the iteration begins from it (projected
+    /// back onto the constraint) instead of the symmetric cold start.  The
+    /// power-law probes and the tile-shape solve are the same problem at
+    /// different `X`, so continuing from the previous optimum removes almost
+    /// all travel — and keeps every probe in the same basin, which a
+    /// multi-extremal objective does not guarantee for independent cold
+    /// starts.
+    ///
+    /// Under a `deadline` the KKT loop polls it every few iterations and
+    /// returns [`Expired`] instead of an iterate when the budget is gone;
+    /// with `None` the solve cannot fail.  The returned [`SolveInfo`] counts
+    /// iterations, whether the iteration budget was exhausted, and whether
+    /// the constraint is in max-posynomial form — the cross-subgraph cache
+    /// uses it to surface non-convergence in `SolverSummary` instead of
+    /// silently returning the last iterate.
+    pub fn solve(
         &self,
         x: f64,
         warm: Option<&[f64]>,
@@ -440,7 +422,7 @@ impl ConstrainedProduct {
     pub fn solve_reference(&self, x: f64) -> ProductSolution {
         let (sol, _, _) = self
             .solve_reference_impl(x, None, None)
-            // lint:allow(unwrap-expect): Deadline::none() never expires; this solve is explicitly ungoverned
+            // lint:allow(unwrap-expect): no deadline is passed, so the solve cannot expire
             .expect("ungoverned solve cannot expire");
         sol
     }
@@ -623,7 +605,6 @@ impl ConstrainedProduct {
         // clamped ratio is immediately undone by the bisection projection.
         let mut in_constraint = vec![false; n];
         c.constraint.mark_occurring_vars(&mut in_constraint);
-        let debug = std::env::var("SOAP_DEBUG_KKT").is_ok();
         for iter in 0..KKT_ITERATION_CAP {
             if iter & DEADLINE_POLL_MASK == 0 && deadline.is_some_and(|d| d.expired()) {
                 return Err(Expired);
@@ -717,14 +698,6 @@ impl ConstrainedProduct {
                 best.0 = chi;
                 best.1.copy_from_slice(&extents);
             }
-            if debug {
-                eprintln!(
-                    "iter {iter:3} dev {max_dev:9.3e} applied {applied_max:9.3e} gap {:9.3e} win {tie_window:9.3e} chi {chi:14.8e} radii {:?} extents {:?}",
-                    scratch.max.kink_gap(),
-                    radius.iter().map(|r| *r as f32).collect::<Vec<_>>(),
-                    extents.iter().map(|e| *e as f32).collect::<Vec<_>>()
-                );
-            }
             if max_dev < DEV_DEADBAND {
                 converged = true;
                 break;
@@ -763,27 +736,16 @@ impl ConstrainedProduct {
     ///
     /// The exponent is rationalized (denominator ≤ 12) because the theory
     /// guarantees σ is a small rational (an LP optimum over unit constraints).
-    pub fn fit_power_law(&self) -> PowerLaw {
-        self.fit_power_law_instrumented().0
-    }
-
-    /// [`Self::fit_power_law`] plus the aggregated accounting of its probe
-    /// solves and the final probe's optimal extents (callers reuse them to
-    /// warm-start the tile-shape solve).
+    /// Also returns the aggregated accounting of the probe solves and the
+    /// final probe's optimal extents (callers reuse them to warm-start the
+    /// tile-shape solve).
     ///
     /// The probes warm-start each other: the `4X` problem continues from the
     /// `X` optimum, which keeps all three in the same basin of the
     /// multi-extremal objective and removes the repeated travel phase.
-    pub fn fit_power_law_instrumented(&self) -> (PowerLaw, SolveInfo, Vec<f64>) {
-        self.fit_power_law_governed(None)
-            // lint:allow(unwrap-expect): Deadline::none() never expires; this fit is explicitly ungoverned
-            .expect("ungoverned fit cannot expire")
-    }
-
-    /// [`Self::fit_power_law_instrumented`] under a [`Deadline`]: returns
-    /// [`Expired`] as soon as any probe solve runs out of budget (a partial
-    /// probe set cannot produce a trustworthy exponent fit).
-    pub fn fit_power_law_governed(
+    /// Returns [`Expired`] as soon as any probe solve runs out of `deadline`
+    /// (a partial probe set cannot produce a trustworthy exponent fit).
+    pub fn fit_power_law(
         &self,
         deadline: Option<&Deadline>,
     ) -> Result<(PowerLaw, SolveInfo, Vec<f64>), Expired> {
@@ -792,7 +754,7 @@ impl ConstrainedProduct {
         let mut warm: Option<Vec<f64>> = None;
         let mut chis = Vec::with_capacity(xs.len());
         for &x in &xs {
-            let (sol, i) = self.solve_seeded_governed(x, warm.as_deref(), deadline)?;
+            let (sol, i) = self.solve(x, warm.as_deref(), deadline)?;
             info.absorb(i);
             chis.push(sol.chi);
             warm = Some(sol.extents);
@@ -970,6 +932,16 @@ mod tests {
         Expr::sym(name)
     }
 
+    /// An ungoverned cold-start solve.
+    fn cold(p: &ConstrainedProduct, x: f64) -> ProductSolution {
+        p.solve(x, None, None).unwrap().0
+    }
+
+    /// An ungoverned power-law fit.
+    fn fit(p: &ConstrainedProduct) -> PowerLaw {
+        p.fit_power_law(None).unwrap().0
+    }
+
     /// Matrix multiplication: χ = Di·Dj·Dk, g = Di·Dk + Dk·Dj + Di·Dj.
     fn mmm_problem() -> ConstrainedProduct {
         let (di, dj, dk) = (d("Di"), d("Dj"), d("Dk"));
@@ -985,7 +957,7 @@ mod tests {
     #[test]
     fn mmm_solution_is_symmetric() {
         let p = mmm_problem();
-        let sol = p.solve(3.0e6);
+        let sol = cold(&p, 3.0e6);
         // Optimal tiles: Di = Dj = Dk = sqrt(X/3) = 1000.
         for e in &sol.extents {
             assert!((e - 1000.0).abs() / 1000.0 < 0.01, "extent {e}");
@@ -996,7 +968,7 @@ mod tests {
     #[test]
     fn mmm_power_law_matches_paper() {
         let p = mmm_problem();
-        let law = p.fit_power_law();
+        let law = fit(&p);
         assert_eq!(law.exponent, Rational::new(3, 2));
         // c = (1/3)^{3/2} ≈ 0.19245
         assert!((law.coeff - 0.19245).abs() < 0.005, "coeff {}", law.coeff);
@@ -1019,7 +991,7 @@ mod tests {
         let chi = di.clone().mul(dt.clone());
         let g = di.clone().add(Expr::int(2).mul(dt.clone()));
         let p = ConstrainedProduct::new(vec!["Di".into(), "Dt".into()], chi, g);
-        let law = p.fit_power_law();
+        let law = fit(&p);
         assert_eq!(law.exponent, Rational::int(2));
         // optimum: Di = X/2, Dt = X/4 -> χ = X²/8.
         assert!((law.coeff - 0.125).abs() < 0.01, "coeff {}", law.coeff);
@@ -1037,7 +1009,7 @@ mod tests {
         let chi = di.clone().mul(dj.clone());
         let g = chi.clone().add(di.clone()).add(dj.clone());
         let p = ConstrainedProduct::new(vec!["Di".into(), "Dj".into()], chi, g);
-        let law = p.fit_power_law();
+        let law = fit(&p);
         assert_eq!(law.exponent, Rational::ONE);
         assert!((law.coeff - 1.0).abs() < 0.02);
         assert!(law.optimal_x().is_none());
@@ -1053,7 +1025,7 @@ mod tests {
             d("D1").mul(d("D2")),
             d("D1").add(d("D2")),
         );
-        let sol = p.solve(100.0);
+        let sol = cold(&p, 100.0);
         assert!(sol.extents.iter().all(|&e| e >= 1.0));
         assert!((sol.constraint_value - 100.0).abs() < 1.0);
         assert!((sol.chi - 2500.0).abs() < 50.0);
@@ -1064,7 +1036,7 @@ mod tests {
         let p = mmm_problem();
         assert!(p.is_compiled());
         for x in [1.0e5, 3.0e6, 1.0e8] {
-            let fast = p.solve(x);
+            let fast = cold(&p, x);
             let slow = p.solve_reference(x);
             assert!(
                 (fast.chi - slow.chi).abs() / slow.chi < 1e-6,
@@ -1078,13 +1050,13 @@ mod tests {
         }
         // The fitted laws must snap to the same rational exponent and the
         // same constant within the closed-form recognition tolerance.
-        let fast_law = p.fit_power_law();
-        let slow_law = ConstrainedProduct::new_reference(
+        let fast_law = fit(&p);
+        let slow = ConstrainedProduct::new_reference(
             p.variables.clone(),
             p.objective.clone(),
             p.constraint.clone(),
-        )
-        .fit_power_law();
+        );
+        let slow_law = fit(&slow);
         assert_eq!(fast_law.exponent, slow_law.exponent);
         assert!((fast_law.coeff - slow_law.coeff).abs() / slow_law.coeff < 1e-6);
     }
@@ -1099,7 +1071,7 @@ mod tests {
             d("Dr").max(d("Dw")).add(d("Dr")),
         );
         assert!(p.is_compiled());
-        let sol = p.solve(1000.0);
+        let sol = cold(&p, 1000.0);
         let slow = p.solve_reference(1000.0);
         assert!(sol.chi.is_finite() && sol.chi > 0.0);
         assert!((sol.constraint_value - 1000.0).abs() < 1.0);
@@ -1117,7 +1089,7 @@ mod tests {
             d("Dr").max(d("Dw")).mul(d("Dc")).add(d("Dr").mul(d("Dw"))),
         );
         assert!(conv.is_compiled());
-        let fast = conv.solve(1.0e6);
+        let fast = cold(&conv, 1.0e6);
         let slow = conv.solve_reference(1.0e6);
         assert!((fast.constraint_value - 1.0e6).abs() < 1.0e3);
         // The analytic optimum is a²c with ac + a² = X at a² = X/3:
@@ -1142,19 +1114,13 @@ mod tests {
         // An already-cancelled deadline trips the very first poll.
         let dead = Deadline::never();
         dead.cancel();
-        assert!(matches!(
-            p.solve_seeded_governed(1.0e6, None, Some(&dead)),
-            Err(Expired)
-        ));
-        assert!(matches!(
-            p.fit_power_law_governed(Some(&dead)),
-            Err(Expired)
-        ));
+        assert!(matches!(p.solve(1.0e6, None, Some(&dead)), Err(Expired)));
+        assert!(matches!(p.fit_power_law(Some(&dead)), Err(Expired)));
         // A live deadline changes nothing: byte-identical to the ungoverned
         // solve (the poll is on the same iteration schedule either way).
         let live = Deadline::never();
-        let (gov, _) = p.solve_seeded_governed(1.0e6, None, Some(&live)).unwrap();
-        let (plain, _) = p.solve_seeded_instrumented(1.0e6, None);
+        let (gov, _) = p.solve(1.0e6, None, Some(&live)).unwrap();
+        let plain = cold(&p, 1.0e6);
         assert_eq!(gov.extents, plain.extents);
         assert_eq!(gov.chi.to_bits(), plain.chi.to_bits());
     }

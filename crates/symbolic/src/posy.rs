@@ -248,10 +248,6 @@ pub struct MaxScratch {
     branch_terms: Vec<f64>,
     /// Gradient accumulator for one branch.
     branch_grad: Vec<f64>,
-    /// Smallest relative gap between any atom's selected value and its nearest
-    /// *excluded* (non-tied) branch at the last gradient evaluation; `∞` when
-    /// every branch of every atom is tied (or there is only one branch).
-    kink_gap: f64,
     /// The relative tie window used by the next gradient evaluation; values
     /// `< TIE_REL_FLOOR` (including the default 0) fall back to the floor.
     tie_window: f64,
@@ -263,14 +259,6 @@ pub struct MaxScratch {
 pub const TIE_REL_FLOOR: f64 = 1e-4;
 
 impl MaxScratch {
-    /// The relative distance from the last evaluated point to the nearest
-    /// subgradient kink: how much the closest non-selected branch of any atom
-    /// trails the selected one.  The trust-region KKT step uses this to decide
-    /// when its iterates have settled onto a kink.
-    pub fn kink_gap(&self) -> f64 {
-        self.kink_gap
-    }
-
     /// Set the relative tie window for subsequent gradient evaluations.
     ///
     /// Branches within this relative distance of the selected one count as
@@ -451,7 +439,6 @@ impl MaxPosynomial {
         let tie_rel = scratch.tie_window.max(TIE_REL_FLOOR);
         let n_atoms = self.atoms.len();
         scratch.atom_values.resize(n_atoms, 0.0);
-        scratch.kink_gap = f64::INFINITY;
         if with_grads {
             scratch.atom_grads.resize(n_atoms * self.n_vars, 0.0);
             scratch.branch_grad.resize(self.n_vars, 0.0);
@@ -476,7 +463,6 @@ impl MaxPosynomial {
                     let rel_gap =
                         (scratch.branch_values[b] - best_v).abs() / best_v.abs().max(1e-300);
                     if rel_gap > tie_rel {
-                        scratch.kink_gap = scratch.kink_gap.min(rel_gap);
                         continue;
                     }
                     tied += 1;

@@ -22,7 +22,8 @@ for i in range(0, N):
 fn main() {
     let program = parse_python("figure2", SOURCE).expect("source parses");
     println!("parsed program:\n{program}");
-    let analysis = analyze_program(&program).expect("analysis succeeds");
+    let analysis = analyze_program(&program, &SdgOptions::default(), &SolveCache::new(), None)
+        .expect("analysis succeeds");
     println!("I/O lower bound: Q ≥ {}", analysis.bound);
     for array in &analysis.per_array {
         println!(

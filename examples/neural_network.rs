@@ -11,15 +11,20 @@ use soap::prelude::*;
 use std::collections::BTreeMap;
 
 fn main() {
+    // One solve cache shared by every analysis below (the networks' matmul
+    // and softmax structures recur); no deadline.
+    let cache = SolveCache::new();
     // Full networks through the SDG (inter-layer reuse is captured).
     for name in ["softmax", "mlp", "lenet-5", "bert-encoder"] {
         let entry = soap::kernels::by_name(name).expect("kernel exists");
-        let analysis = analyze_program_with(
+        let analysis = analyze_program(
             &entry.program,
             &SdgOptions {
                 assume_injective: entry.assume_injective,
                 ..SdgOptions::default()
             },
+            &cache,
+            None,
         )
         .expect("analysis succeeds");
         println!("{name:<14} Q ≥ {}", analysis.bound);
@@ -42,7 +47,7 @@ fn main() {
 
     // Evaluate the BERT-encoder bound for a BERT-base-like shape.
     let bert = soap::kernels::by_name("bert-encoder").unwrap();
-    let analysis = analyze_program(&bert.program).unwrap();
+    let analysis = analyze_program(&bert.program, &SdgOptions::default(), &cache, None).unwrap();
     let mut b = BTreeMap::new();
     for (k, v) in [
         ("B", 8.0),

@@ -23,7 +23,8 @@ fn main() {
         .build()
         .expect("gemm is a valid SOAP program");
 
-    let analysis = analyze_program(&program).expect("analysis succeeds");
+    let analysis = analyze_program(&program, &SdgOptions::default(), &SolveCache::new(), None)
+        .expect("analysis succeeds");
     println!("kernel        : {}", program.name);
     println!("I/O lower bound: Q ≥ {}", analysis.bound);
     for array in &analysis.per_array {

@@ -11,17 +11,21 @@ use soap::prelude::*;
 use std::collections::BTreeMap;
 
 fn main() {
+    // One solve cache shared by every analysis below: the stencils' renamed
+    // subgraph structures are solved once.  No deadline.
+    let (opts, cache) = (SdgOptions::default(), SolveCache::new());
     // The three time-versioned stencils from Polybench.
     for name in ["jacobi-1d", "jacobi-2d", "heat-3d"] {
         let entry = soap::kernels::by_name(name).expect("kernel exists");
-        let analysis = analyze_program(&entry.program).expect("analysis succeeds");
+        let analysis =
+            analyze_program(&entry.program, &opts, &cache, None).expect("analysis succeeds");
         println!("{name:<10} Q ≥ {}", analysis.bound);
     }
 
     // Empirical check on a small jacobi-1d instance: no valid schedule can
     // move fewer words than the bound.
     let entry = soap::kernels::by_name("jacobi-1d").unwrap();
-    let analysis = analyze_program(&entry.program).unwrap();
+    let analysis = analyze_program(&entry.program, &opts, &cache, None).unwrap();
     let (n, t, s) = (48i64, 24i64, 16usize);
     let params: BTreeMap<String, i64> = [("N".to_string(), n), ("T".to_string(), t)]
         .into_iter()

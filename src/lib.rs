@@ -23,7 +23,9 @@
 //!
 //! // Analyze matrix multiplication: C[i,j] += A[i,k] * B[k,j]
 //! let program = soap::kernels::polybench::gemm();
-//! let report = soap::sdg::analyze_program(&program).expect("analysis succeeds");
+//! // Default options, a fresh solve cache, no deadline.
+//! let report = analyze_program(&program, &SdgOptions::default(), &SolveCache::new(), None)
+//!     .expect("analysis succeeds");
 //! // The leading term of the bound is 2*N^3/sqrt(S) for square matrices.
 //! println!("{}", report.bound);
 //! ```
@@ -45,6 +47,6 @@ pub mod prelude {
     pub use soap_ir::{
         ArrayAccess, IterationDomain, Program, ProgramBuilder, Statement, StatementBuilder,
     };
-    pub use soap_sdg::{analyze_program, analyze_program_with, ProgramAnalysis, SdgOptions};
+    pub use soap_sdg::{analyze_program, ProgramAnalysis, SdgOptions, SolveCache};
     pub use soap_symbolic::{Expr, Polynomial, Rational};
 }

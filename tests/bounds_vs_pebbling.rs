@@ -2,7 +2,7 @@
 //! simulations on small CDAGs (soundness smoke test across crates).
 
 use soap::pebbling::{min_dominator_size, simulate_program_order, Cdag, VertexKind};
-use soap::sdg::analyze_program;
+use soap::sdg::{analyze_program, SdgOptions, SolveCache};
 use std::collections::BTreeMap;
 
 fn concrete_params(kernel: &str, size: i64) -> BTreeMap<String, i64> {
@@ -23,7 +23,8 @@ fn simulated_schedules_never_beat_the_bound() {
         ("lu", 12, 32),
     ] {
         let entry = soap::kernels::by_name(kernel).unwrap();
-        let analysis = analyze_program(&entry.program).unwrap();
+        let opts = SdgOptions::default();
+        let analysis = analyze_program(&entry.program, &opts, &SolveCache::new(), None).unwrap();
         let params = concrete_params(kernel, size);
         let mut bindings: BTreeMap<String, f64> =
             params.iter().map(|(k, v)| (k.clone(), *v as f64)).collect();

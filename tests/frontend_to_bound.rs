@@ -2,8 +2,14 @@
 //! the paper describes (parser → SOAP IR → SDG analysis), for both dialects.
 
 use soap::frontend::{parse_c, parse_python};
-use soap::sdg::analyze_program;
+use soap::ir::Program;
+use soap::sdg::{analyze_program, ProgramAnalysis, SdgOptions, SolveCache};
 use std::collections::BTreeMap;
+
+/// A default-options, private-cache, ungoverned analysis.
+fn analyze(program: &Program) -> ProgramAnalysis {
+    analyze_program(program, &SdgOptions::default(), &SolveCache::new(), None).unwrap()
+}
 
 fn eval(bound: &soap::symbolic::Expr, pairs: &[(&str, f64)]) -> f64 {
     let b: BTreeMap<String, f64> = pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect();
@@ -19,9 +25,9 @@ for i in range(0, N):
             C[i, j] += A[i, k] * B[k, j]
 "#;
     let parsed = parse_python("gemm", src).unwrap();
-    let from_source = analyze_program(&parsed).unwrap();
+    let from_source = analyze(&parsed);
     let builtin = soap::kernels::polybench::gemm();
-    let from_builder = analyze_program(&builtin).unwrap();
+    let from_builder = analyze(&builtin);
     let ratio = eval(&from_source.bound, &[("N", 500.0), ("S", 2048.0)])
         / eval(
             &from_builder.bound,
@@ -44,8 +50,8 @@ for (t = 1; t < T; t++) {
   }
 }
 "#;
-    let from_py = analyze_program(&parse_python("jacobi", py).unwrap()).unwrap();
-    let from_c = analyze_program(&parse_c("jacobi", c).unwrap()).unwrap();
+    let from_py = analyze(&parse_python("jacobi", py).unwrap());
+    let from_c = analyze(&parse_c("jacobi", c).unwrap());
     let args = &[("N", 4096.0), ("T", 512.0), ("S", 64.0)][..];
     let a = eval(&from_py.bound, args);
     let b = eval(&from_c.bound, args);
@@ -75,7 +81,7 @@ for (i = 0; i < N; i++) {
 }
 "#;
     let program = parse_c("atax", c).unwrap();
-    let analysis = analyze_program(&program).unwrap();
+    let analysis = analyze(&program);
     let v = eval(
         &analysis.bound,
         &[("N", 1000.0), ("M", 1000.0), ("S", 4096.0)],

@@ -7,7 +7,7 @@
 //! file would not.
 
 use soap_bench::{reference_bindings, suite_program};
-use soap_sdg::{analyze_suite_with, SolveCache};
+use soap_sdg::{analyze_suite, SolveCache};
 use std::fmt::Write as _;
 
 const GOLDEN_PATH: &str = concat!(
@@ -25,7 +25,7 @@ fn warm_store_run_reproduces_the_committed_golden_bounds() {
     // Cold process: solve everything, persist.
     {
         let cache = SolveCache::with_store(&dir).expect("store opens");
-        let cold = analyze_suite_with(&jobs, &cache);
+        let cold = analyze_suite(&jobs, &cache, None, None);
         assert_eq!(cold.summary.failures, 0);
         cache.flush_store().expect("flush succeeds");
     }
@@ -35,7 +35,7 @@ fn warm_store_run_reproduces_the_committed_golden_bounds() {
     // (enumerate / merge / instantiate) never runs, so the warm path is the
     // report codec end to end.
     let cache = SolveCache::with_store(&dir).expect("store reopens");
-    let warm = analyze_suite_with(&jobs, &cache);
+    let warm = analyze_suite(&jobs, &cache, None, None);
     assert_eq!(warm.summary.cache.misses, 0, "{:?}", warm.summary.cache);
     assert_eq!(warm.summary.cache.uncacheable, 0);
     assert_eq!(

@@ -4,7 +4,7 @@
 
 use soap::baselines::sota_bound;
 use soap::kernels::{by_name, registry};
-use soap::sdg::{analyze_program_with, SdgOptions};
+use soap::sdg::{analyze_program, SdgOptions, SolveCache};
 use std::collections::BTreeMap;
 
 fn bindings_for(kernel: &str) -> BTreeMap<String, f64> {
@@ -25,7 +25,8 @@ fn derived_over_paper(kernel: &str) -> f64 {
         assume_injective: entry.assume_injective,
         ..SdgOptions::default()
     };
-    let analysis = analyze_program_with(&entry.program, &opts).expect("analysis succeeds");
+    let analysis = analyze_program(&entry.program, &opts, &SolveCache::new(), None)
+        .expect("analysis succeeds");
     let b = bindings_for(kernel);
     let derived = analysis.bound.eval(&b).expect("derived bound evaluates");
     let paper = sota_bound(kernel)
@@ -104,7 +105,7 @@ fn every_kernel_produces_a_finite_positive_bound() {
             assume_injective: entry.assume_injective,
             ..SdgOptions::default()
         };
-        let analysis = analyze_program_with(&entry.program, &opts)
+        let analysis = analyze_program(&entry.program, &opts, &SolveCache::new(), None)
             .unwrap_or_else(|e| panic!("{} failed: {e}", entry.name));
         let b = bindings_for(entry.name);
         let q = analysis.bound.eval(&b).unwrap_or(f64::NAN);
