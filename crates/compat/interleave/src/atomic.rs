@@ -118,3 +118,11 @@ atomic_shim!(
     std::sync::atomic::AtomicBool,
     bool
 );
+
+atomic_shim!(
+    /// Model-checked `AtomicIsize`.
+    AtomicIsize,
+    std::sync::atomic::AtomicIsize,
+    isize
+);
+atomic_int_ops!(AtomicIsize, isize);

@@ -19,17 +19,32 @@
 //! ## Worker budget (nested parallelism)
 //!
 //! All parallel iterators share one process-wide *worker budget*
-//! ([`worker_budget`]): the maximum number of threads doing parallel work at
-//! any moment.  A `par_iter` reserves its extra workers from the shared pool
-//! and returns them when done, so nested parallelism (a suite-level
-//! `par_iter` over programs whose per-program analyses `par_iter` over
-//! subgraphs) degrades gracefully instead of oversubscribing: once the outer
-//! loop holds the whole budget, inner loops find the pool empty and run
-//! inline on their caller.  The budget defaults to the `SOAP_THREADS`
-//! environment variable (validated by [`parse_worker_threads`]) or, when
-//! unset, to [`std::thread::available_parallelism`]; [`set_worker_budget`]
-//! overrides it at runtime (CLI `--threads`, the determinism tests, the
-//! benchmark's single-worker replay).
+//! ([`worker_budget`]): the number of threads this process aims to keep doing
+//! parallel work at any moment.  The calling thread of a `par_iter` is always
+//! a worker; every *extra* worker occupies one slot of a shared pool of
+//! `budget - 1`.  A `par_iter` recruits helpers into free slots, and a helper
+//! gives its slot back as soon as the loop's index is exhausted, so nested
+//! parallelism (a suite-level `par_iter` over programs whose per-program
+//! analyses `par_iter` over subgraphs) neither oversubscribes nor strands a
+//! core:
+//!
+//! * An inner loop that starts while the outer loop holds the whole budget
+//!   begins inline on its caller, but it checks the pool again before every
+//!   block it claims.  When an outer worker runs out of programs and frees
+//!   its slot, the inner loop still running on another worker recruits a
+//!   helper into it.
+//! * A caller that has finished claiming while its helpers are still busy
+//!   lends its own slot to the pool while it waits for them, so a loop
+//!   elsewhere can recruit into it; afterwards it takes the slot back
+//!   unconditionally.  The count of slots in use is therefore signed: a
+//!   lent slot can take it below zero.
+//!
+//! The budget defaults to the `SOAP_THREADS` environment variable (validated
+//! by [`parse_worker_threads`]) or, when unset, to
+//! [`std::thread::available_parallelism`]; [`set_worker_budget`] overrides it
+//! at runtime (CLI `--threads`, the determinism tests, the benchmark's
+//! single-worker replay).  The pool protocol is model-checked in
+//! `tests/interleave_pool.rs`.
 //!
 //! ## Panic isolation
 //!
@@ -46,7 +61,7 @@
 #![forbid(unsafe_code)]
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// The usual `use rayon::prelude::*;` surface.
@@ -70,12 +85,14 @@ pub fn parse_worker_threads(raw: &str) -> Option<usize> {
 }
 
 /// The process-wide worker pool: the budget (target maximum concurrency) and
-/// the number of *extra* workers currently available for reservation (the
-/// calling thread of a `par_iter` is always a worker and is never counted
-/// here, so `idle_extra` ranges over `0..=budget-1`).
+/// the number of *extra* worker slots in use.  The calling thread of a
+/// `par_iter` is always a worker and holds no slot; a caller waiting for its
+/// helpers lends its thread to the pool by decrementing `in_use`, which can
+/// therefore drop below zero.  Both fields are accessed `Relaxed`: they
+/// publish no other data (item results travel through the threads' `join`).
 struct Pool {
     budget: AtomicUsize,
-    idle_extra: AtomicUsize,
+    in_use: AtomicIsize,
 }
 
 fn pool() -> &'static Pool {
@@ -91,7 +108,7 @@ fn pool() -> &'static Pool {
             });
         Pool {
             budget: AtomicUsize::new(budget),
-            idle_extra: AtomicUsize::new(budget.saturating_sub(1)),
+            in_use: AtomicIsize::new(0),
         }
     })
 }
@@ -107,56 +124,37 @@ pub fn worker_budget() -> usize {
 /// return the previous value.  `1` makes every `par_iter` run inline on its
 /// caller — the reference single-thread mode of the determinism tests.
 ///
-/// Intended for process setup (CLI `--threads`) and between-run
-/// reconfiguration (budget sweeps in tests and the benchmark); calling it
-/// while parallel work is in flight is safe but the new budget only shapes
-/// *future* reservations.
+/// Only the budget is stored: slots already in use are returned by their
+/// holders as usual, and the new budget shapes every later grant.  Safe to
+/// call while parallel work is in flight.
 pub fn set_worker_budget(n: usize) -> usize {
     let n = n.clamp(1, MAX_WORKER_THREADS);
-    let p = pool();
-    let prev = p.budget.swap(n, Ordering::Relaxed);
-    p.idle_extra.store(n - 1, Ordering::Relaxed);
-    prev
+    pool().budget.swap(n, Ordering::Relaxed)
 }
 
-/// Reserve up to `want` extra workers from the shared pool.  Returns how many
-/// were granted (possibly 0: run inline).
+/// Reserve up to `want` extra worker slots: the grant is
+/// `min(want, budget - 1 - in_use)`, possibly 0 (nothing free).
 fn reserve_extra(want: usize) -> usize {
     if want == 0 {
         return 0;
     }
+    let p = pool();
+    let cap = p.budget.load(Ordering::Relaxed) as isize - 1;
     let mut granted = 0;
-    let _ = pool()
-        .idle_extra
-        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |avail| {
-            granted = avail.min(want);
-            Some(avail - granted)
+    let _ = p
+        .in_use
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |used| {
+            granted = (cap - used).clamp(0, want as isize) as usize;
+            (granted > 0).then_some(used + granted as isize)
         });
     granted
 }
 
-/// Return `n` extra workers to the pool, clamped to the budget cap so
-/// releases cannot compound the idle count past any budget they observed.
-///
-/// The cap is read *before* the `fetch_update`, so a concurrent
-/// [`set_worker_budget`] shrink landing between the two can transiently
-/// leave `idle_extra = old_budget - 1`; the next reserve/release cycle
-/// re-clamps it (model-checked: see
-/// `tests/interleave_pool.rs::release_clamp_bounded_by_largest_observed_budget`
-/// and docs/CORRECTNESS.md).  Idle extras never exceed
-/// `max(budgets observed) - 1`, so the pool still cannot oversubscribe
-/// relative to any configured budget.
+/// Give `n` slots back to the pool (a helper leaving, or a caller lending
+/// its own thread while it waits).  Unclamped: every release pairs with an
+/// earlier reserve or with a later take-back.
 fn release_extra(n: usize) {
-    if n == 0 {
-        return;
-    }
-    let p = pool();
-    let cap = p.budget.load(Ordering::Relaxed).saturating_sub(1);
-    let _ = p
-        .idle_extra
-        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |avail| {
-            Some((avail + n).min(cap))
-        });
+    pool().in_use.fetch_sub(n as isize, Ordering::Relaxed);
 }
 
 /// Types whose references can be iterated in parallel.
@@ -274,10 +272,15 @@ impl<'a, T: Sync, F> ParFilterMap<'a, T, F> {
 /// The payload of a caught item panic.
 type Panic = Box<dyn std::any::Any + Send + 'static>;
 
-/// Run `f` over every item on the calling thread plus up to
-/// `worker_budget() - 1` reserved extra workers, self-scheduling blocks of
-/// `min_len` items off a shared atomic index, and return the outputs in item
-/// order.
+/// Run `f` over every item on the calling thread plus whatever helpers the
+/// pool grants, self-scheduling blocks of `min_len` items off a shared atomic
+/// index, and return the outputs in item order.
+///
+/// Before every block it claims, the caller recruits helpers into free pool
+/// slots while unclaimed blocks remain beyond the one it is about to take, so
+/// a loop that started inline picks up workers freed later.  A helper
+/// returns its slot as soon as the index is exhausted.  A caller left waiting
+/// for its helpers lends its own slot until they finish.
 ///
 /// Every item runs — a panicking item is caught, the remaining items still
 /// execute, and after the pool drains the panic of the *smallest* panicking
@@ -292,60 +295,75 @@ fn run_self_scheduled<T: Sync, R: Send>(
     if n <= 1 || worker_budget() <= 1 || min_len >= n {
         return items.iter().map(f).collect();
     }
-    let extra = reserve_extra((worker_budget() - 1).min(n - 1));
-    if extra == 0 {
-        // Pool exhausted (e.g. nested under an outer par_iter that holds the
-        // whole budget): run inline instead of oversubscribing.
-        return items.iter().map(f).collect();
-    }
 
     let next = AtomicUsize::new(0);
-    let worker = || -> Vec<(usize, Result<R, Panic>)> {
-        let mut out = Vec::new();
-        loop {
-            let start = next.fetch_add(min_len, Ordering::Relaxed);
-            if start >= n {
-                break;
-            }
-            for (i, item) in items
-                .iter()
-                .enumerate()
-                .take((start + min_len).min(n))
-                .skip(start)
-            {
-                out.push((i, catch_unwind(AssertUnwindSafe(|| f(item)))));
-            }
+    // Claim the next block and run it into `out`; false once the index is
+    // exhausted.
+    let run_block = |out: &mut Vec<(usize, Result<R, Panic>)>| -> bool {
+        let start = next.fetch_add(min_len, Ordering::Relaxed);
+        if start >= n {
+            return false;
         }
+        for (i, item) in items.iter().enumerate().take(start + min_len).skip(start) {
+            out.push((i, catch_unwind(AssertUnwindSafe(|| f(item)))));
+        }
+        true
+    };
+    let helper = || {
+        let mut out = Vec::new();
+        while run_block(&mut out) {}
+        release_extra(1);
         out
     };
 
-    let mut buckets: Vec<Vec<(usize, Result<R, Panic>)>> = Vec::with_capacity(extra + 1);
+    let mut outcomes: Vec<(usize, Result<R, Panic>)> = Vec::with_capacity(n);
     let mut worker_panic: Option<Panic> = None;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..extra).map(|_| scope.spawn(worker)).collect();
-        buckets.push(worker());
-        for h in handles {
-            match h.join() {
-                Ok(bucket) => buckets.push(bucket),
+        let mut handles = Vec::new();
+        loop {
+            let claimed = next.load(Ordering::Relaxed);
+            if claimed < n {
+                let later_blocks = (n - claimed).div_ceil(min_len) - 1;
+                for _ in 0..reserve_extra(later_blocks) {
+                    match std::thread::Builder::new().spawn_scoped(scope, helper) {
+                        Ok(handle) => handles.push(handle),
+                        Err(_) => release_extra(1),
+                    }
+                }
+            }
+            if !run_block(&mut outcomes) {
+                break;
+            }
+        }
+        if handles.is_empty() {
+            return;
+        }
+        // Lend this thread's slot while it only waits, then take it back
+        // unconditionally: a conditional take-back would let `in_use` drift
+        // below the threads actually running.
+        release_extra(1);
+        for handle in handles {
+            match handle.join() {
+                Ok(bucket) => outcomes.extend(bucket),
                 // Unreachable in practice (item panics are caught above), but
                 // a panic in the scheduling loop itself must still surface
                 // exactly once instead of aborting via a double panic.
                 Err(payload) => worker_panic = Some(payload),
             }
         }
+        pool().in_use.fetch_add(1, Ordering::Relaxed);
     });
-    release_extra(extra);
     if let Some(payload) = worker_panic {
         resume_unwind(payload);
     }
 
-    let mut slots: Vec<Option<Result<R, Panic>>> = (0..n).map(|_| None).collect();
-    for (i, outcome) in buckets.into_iter().flatten() {
-        slots[i] = Some(outcome);
-    }
+    // The shared index hands out every item exactly once; each bucket is in
+    // ascending index order, so sorting restores the input order.
+    assert_eq!(outcomes.len(), n, "every item runs exactly once");
+    outcomes.sort_unstable_by_key(|&(i, _)| i);
     let mut results = Vec::with_capacity(n);
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot.unwrap_or_else(|| panic!("item {i} was never scheduled")) {
+    for (_, outcome) in outcomes {
+        match outcome {
             Ok(r) => results.push(r),
             Err(payload) => resume_unwind(payload),
         }
@@ -356,8 +374,10 @@ fn run_self_scheduled<T: Sync, R: Send>(
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
+    use std::sync::{Condvar, Mutex, MutexGuard};
+    use std::time::{Duration, Instant};
 
     /// Serializes the tests that mutate the process-wide worker budget (unit
     /// tests of one binary run concurrently).
@@ -508,9 +528,160 @@ mod tests {
             .map(|o| (0..50).map(|i| o * 100 + i).sum())
             .collect();
         assert_eq!(sums, expected);
-        // The outer loop may use at most the budget's worth of workers; the
-        // inner loops found the pool empty and ran inline on those workers.
+        // The outer loop may use at most the budget's worth of workers; inner
+        // loops only ever recruit into slots the outer loop has given back.
         assert!(peak.load(Ordering::SeqCst) <= 3, "peak {peak:?}");
+    }
+
+    /// Generous bound on every wait in the pool tests below: they finish in
+    /// milliseconds when the pool behaves, and fail instead of hanging when
+    /// it does not.
+    const WAIT: Duration = Duration::from_secs(30);
+
+    /// Block until `done(state)` holds or `deadline` passes.
+    fn wait_for<S>(
+        (lock, cv): &(Mutex<S>, Condvar),
+        deadline: Instant,
+        done: impl Fn(&S) -> bool,
+    ) -> MutexGuard<'_, S> {
+        let mut guard = lock.lock().unwrap_or_else(|e| e.into_inner());
+        while !done(&guard) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            guard = cv
+                .wait_timeout(guard, left)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
+        guard
+    }
+
+    /// Run `items` items in one `par_iter` whose items each wait until
+    /// `threads` distinct threads have joined it, and return how many did.
+    fn distinct_threads_in_one_loop(items: usize, threads: usize, deadline: Instant) -> usize {
+        let seen = (Mutex::new(HashSet::new()), Condvar::new());
+        let input: Vec<usize> = (0..items).collect();
+        let _: Vec<()> = input
+            .par_iter()
+            .map(|_| {
+                let mut ids = seen.0.lock().unwrap_or_else(|e| e.into_inner());
+                ids.insert(std::thread::current().id());
+                seen.1.notify_all();
+                drop(ids);
+                drop(wait_for(&seen, deadline, |ids| ids.len() >= threads));
+            })
+            .collect();
+        let ids = seen.0.lock().unwrap_or_else(|e| e.into_inner());
+        ids.len()
+    }
+
+    fn idle_slots() -> isize {
+        let p = super::pool();
+        p.budget.load(Ordering::SeqCst) as isize - 1 - p.in_use.load(Ordering::SeqCst)
+    }
+
+    /// At budget 2, one outer item runs a long inner loop that starts while
+    /// the other outer item still holds the only extra slot, so it starts
+    /// inline.  Once the other item is done, its worker runs out of outer
+    /// items: it frees its slot (a helper) or lends it (the caller), and the
+    /// inner loop, already in flight, must recruit it.  Returns how many
+    /// distinct threads ran inner items.  `caller_is_light` picks which side
+    /// of the outer loop runs out of work first.
+    fn inner_threads_after_outer_worker_frees(caller_is_light: bool) -> usize {
+        let deadline = Instant::now() + WAIT;
+        let caller = std::thread::current().id();
+        let inner_started = (Mutex::new(false), Condvar::new());
+        let outer = [0u32, 1];
+        let per_item: Vec<usize> = with_budget(2, || {
+            outer
+                .par_iter()
+                .map(|_| {
+                    if (std::thread::current().id() == caller) == caller_is_light {
+                        drop(wait_for(&inner_started, deadline, |started| *started));
+                        return 0;
+                    }
+                    let seen = Mutex::new(HashSet::new());
+                    let inner: Vec<u32> = (0..64).collect();
+                    let _: Vec<()> = inner
+                        .par_iter()
+                        .map(|_| {
+                            *inner_started.0.lock().unwrap_or_else(|e| e.into_inner()) = true;
+                            inner_started.1.notify_all();
+                            let mut ids = seen.lock().unwrap_or_else(|e| e.into_inner());
+                            ids.insert(std::thread::current().id());
+                            drop(ids);
+                            // Hold this item until a second thread has joined
+                            // or a slot is free for the next claim to recruit.
+                            while seen.lock().unwrap_or_else(|e| e.into_inner()).len() < 2
+                                && idle_slots() <= 0
+                                && Instant::now() < deadline
+                            {
+                                std::thread::yield_now();
+                            }
+                        })
+                        .collect();
+                    let ids = seen.lock().unwrap_or_else(|e| e.into_inner());
+                    ids.len()
+                })
+                .collect()
+        });
+        per_item.into_iter().sum()
+    }
+
+    #[test]
+    fn idle_worker_joins_inflight_nested_loop() {
+        for caller_is_light in [true, false] {
+            assert_eq!(
+                inner_threads_after_outer_worker_frees(caller_is_light),
+                2,
+                "the in-flight inner loop stayed on one thread (caller_is_light {caller_is_light})"
+            );
+        }
+    }
+
+    #[test]
+    fn pool_capacity_is_restored() {
+        // Every loop below that gets helpers has its caller lend its slot
+        // while it waits, and its inner loops recruit late.  Afterwards no
+        // slot may be lost or leaked: a fresh loop gets all budget-1 helpers.
+        const BUDGET: usize = 3;
+        let deadline = Instant::now() + WAIT;
+        let (sums, in_use, fresh) = with_budget(BUDGET, || {
+            let outer: Vec<u64> = (0..6).collect();
+            let mut sums = Vec::new();
+            for _ in 0..20 {
+                let round: Vec<u64> = outer
+                    .par_iter()
+                    .map(|o| {
+                        let inner: Vec<u64> = (0..200u64).collect();
+                        let s: Vec<u64> = inner
+                            .par_iter()
+                            .map(|i| (0..o * 50).fold(*i, |acc, x| acc ^ x))
+                            .collect();
+                        s.iter().sum::<u64>()
+                    })
+                    .collect();
+                sums.push(round);
+            }
+            let in_use = super::pool().in_use.load(Ordering::SeqCst);
+            (
+                sums,
+                in_use,
+                distinct_threads_in_one_loop(8, BUDGET, deadline),
+            )
+        });
+        let expected: Vec<u64> = (0..6u64)
+            .map(|o| {
+                (0..200u64)
+                    .map(|i| (0..o * 50).fold(i, |acc, x| acc ^ x))
+                    .sum()
+            })
+            .collect();
+        assert!(sums.iter().all(|round| *round == expected));
+        assert_eq!(in_use, 0, "slots leaked or lost at quiescence");
+        assert_eq!(fresh, BUDGET, "a fresh loop did not get budget-1 helpers");
     }
 
     #[test]

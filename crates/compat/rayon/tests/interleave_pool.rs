@@ -8,85 +8,200 @@
 //! guards against — the checker must find a failing schedule for it, or the
 //! pass on the correct variant would be vacuous.
 
-use interleave::atomic::AtomicUsize;
+use interleave::atomic::{AtomicIsize, AtomicUsize};
 use interleave::{thread, Model};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+/// Which variant of the slot protocol a model runs.
+#[derive(Clone, Copy, PartialEq)]
+enum Protocol {
+    /// The production protocol.
+    Faithful,
+    /// MUTATION: the caller takes its lent slot back through
+    /// `reserve_extra(1)`, which grants nothing when the pool is full, so
+    /// `in_use` drifts below the threads actually running.
+    TakeBackViaReserve,
+    /// MUTATION: releases clamp `in_use` at 0 (the clamp the unsigned
+    /// `idle_extra` count needed), so a release after the caller lent its
+    /// slot is lost and the take-back leaves a slot in use for good.
+    ClampedRelease,
+}
+
 /// The production pool protocol, ported shim-for-shim from
-/// `rayon::{reserve_extra, release_extra, set_worker_budget}`.
+/// `rayon::{reserve_extra, release_extra}` and the take-back in
+/// `run_self_scheduled`.  `set_worker_budget` only stores the budget and
+/// touches no count, so the budget is a plain constant here.
 struct PoolModel {
-    budget: AtomicUsize,
-    idle_extra: AtomicUsize,
+    budget: usize,
+    in_use: AtomicIsize,
+    protocol: Protocol,
 }
 
 impl PoolModel {
-    fn new(budget: usize) -> PoolModel {
+    fn new(budget: usize, protocol: Protocol) -> PoolModel {
         PoolModel {
-            budget: AtomicUsize::new(budget),
-            idle_extra: AtomicUsize::new(budget - 1),
+            budget,
+            in_use: AtomicIsize::new(0),
+            protocol,
         }
     }
 
-    /// Faithful port: one atomic `fetch_update` claims the whole grant.
+    /// Faithful port: one atomic `fetch_update` claims
+    /// `min(want, budget - 1 - in_use)`.  Asserts the reserve invariant: a
+    /// grant never pushes `in_use` past `budget - 1`.
     fn reserve_extra(&self, want: usize) -> usize {
         if want == 0 {
             return 0;
         }
+        let cap = self.budget as isize - 1;
         let mut granted = 0;
-        let _ = self
-            .idle_extra
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |avail| {
-                granted = avail.min(want);
-                Some(avail - granted)
+        let result = self
+            .in_use
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |used| {
+                granted = (cap - used).clamp(0, want as isize) as usize;
+                (granted > 0).then_some(used + granted as isize)
             });
+        if let Ok(before) = result {
+            let after = before + granted as isize;
+            assert!(
+                after <= cap,
+                "a reserve pushed in_use to {after} past {cap}"
+            );
+        }
         granted
     }
 
     /// MUTATION: the pre-PR6 bug class — a load/store pair instead of one
     /// atomic update, so two concurrent reservers can both see the same
-    /// `avail` and oversubscribe the pool.
+    /// `in_use` and oversubscribe the pool.
     fn reserve_extra_torn(&self, want: usize) -> usize {
         if want == 0 {
             return 0;
         }
-        let avail = self.idle_extra.load(Ordering::Relaxed);
-        let granted = avail.min(want);
-        self.idle_extra.store(avail - granted, Ordering::Relaxed);
-        granted
+        let used = self.in_use.load(Ordering::Relaxed);
+        let granted = (self.budget as isize - 1 - used).clamp(0, want as isize);
+        self.in_use.store(used + granted, Ordering::Relaxed);
+        granted as usize
     }
 
-    /// Faithful port: return clamps to `budget - 1` so a concurrent budget
-    /// shrink can never leave more idle workers than the budget allows.
+    /// Faithful port: an unclamped decrement.
     fn release_extra(&self, n: usize) {
-        if n == 0 {
+        if self.protocol == Protocol::ClampedRelease {
+            let _ = self
+                .in_use
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |used| {
+                    Some((used - n as isize).max(0))
+                });
             return;
         }
-        let cap = self.budget.load(Ordering::Relaxed).saturating_sub(1);
-        let _ = self
-            .idle_extra
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |avail| {
-                Some((avail + n).min(cap))
-            });
+        self.in_use.fetch_sub(n as isize, Ordering::Relaxed);
     }
 
-    /// MUTATION: release without the budget clamp.
-    fn release_extra_unclamped(&self, n: usize) {
-        if n == 0 {
+    /// Faithful port: the caller re-counts its own thread unconditionally.
+    fn take_back(&self) {
+        if self.protocol == Protocol::TakeBackViaReserve {
+            self.reserve_extra(1);
             return;
         }
-        let _ = self
-            .idle_extra
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |avail| {
-                Some(avail + n)
-            });
+        self.in_use.fetch_add(1, Ordering::Relaxed);
     }
+}
 
-    /// Faithful port of `set_worker_budget`.
-    fn set_budget(&self, n: usize) {
-        self.budget.swap(n, Ordering::Relaxed);
-        self.idle_extra.store(n - 1, Ordering::Relaxed);
+/// Port of `run_self_scheduled`'s slot protocol on a loop of `items` items:
+/// before every claim the caller recruits helpers for the unclaimed items
+/// beyond the one it is about to take, a helper releases its slot once the
+/// index is exhausted, and a caller that had helpers lends its slot while it
+/// joins them.
+fn run_loop(pool: &Arc<PoolModel>, items: usize) {
+    let next = Arc::new(AtomicUsize::new(0));
+    let mut helpers = Vec::new();
+    loop {
+        let claimed = next.load(Ordering::Relaxed);
+        if claimed < items {
+            for _ in 0..pool.reserve_extra(items - claimed - 1) {
+                let pool = Arc::clone(pool);
+                let next = Arc::clone(&next);
+                helpers.push(thread::spawn(move || {
+                    while next.fetch_add(1, Ordering::Relaxed) < items {}
+                    pool.release_extra(1);
+                }));
+            }
+        }
+        if next.fetch_add(1, Ordering::Relaxed) >= items {
+            break;
+        }
     }
+    join_lending_slot(pool, helpers);
+}
+
+/// The end of `run_self_scheduled`: a caller with helpers lends its slot
+/// while it joins them, then takes it back.
+fn join_lending_slot(pool: &PoolModel, helpers: Vec<thread::JoinHandle<()>>) {
+    if helpers.is_empty() {
+        return;
+    }
+    pool.release_extra(1);
+    for helper in helpers {
+        helper.join();
+    }
+    pool.take_back();
+}
+
+/// Nested loops at budget 2.  An outer loop of two items has reserved the
+/// extra slot for its helper; one item is light, the other runs an inner
+/// loop, which starts inline while the slot is held.
+///
+/// * `caller_runs_inner`: the outer helper takes the light item and releases
+///   its slot on exit.  The inner loop has 3 items, the smallest loop that
+///   can recruit after its first claim, so it may recruit the released slot
+///   late.
+/// * Otherwise the helper runs an inner loop of 2 items while the root, done
+///   with the light item, lends its slot as it joins; the inner loop recruits
+///   the lent slot if the loan lands before its first claim.
+fn nested_model(caller_runs_inner: bool) {
+    let pool = Arc::new(PoolModel::new(2, Protocol::Faithful));
+    assert_eq!(pool.reserve_extra(1), 1);
+    let outer_helper = {
+        let pool = Arc::clone(&pool);
+        thread::spawn(move || {
+            if !caller_runs_inner {
+                run_loop(&pool, 2);
+            }
+            pool.release_extra(1);
+        })
+    };
+    if caller_runs_inner {
+        run_loop(&pool, 3);
+    }
+    join_lending_slot(&pool, vec![outer_helper]);
+    let in_use = pool.in_use.load(Ordering::SeqCst);
+    assert_eq!(in_use, 0, "in_use {in_use} at quiescence: a slot drifted");
+}
+
+/// Another program in flight at budget 2: the root reserves the extra slot
+/// for a helper, if free, and lends its own slot while it joins it; a second
+/// top-level thread (a second daemon connection, say) recruits up to two
+/// helpers and releases them.  At quiescence every slot is back.
+fn lending_beside_other_program_model(protocol: Protocol) {
+    let pool = Arc::new(PoolModel::new(2, protocol));
+    let other = {
+        let pool = Arc::clone(&pool);
+        thread::spawn(move || {
+            let got = pool.reserve_extra(2);
+            pool.release_extra(got);
+        })
+    };
+    let helpers = (0..pool.reserve_extra(1))
+        .map(|_| {
+            let pool = Arc::clone(&pool);
+            thread::spawn(move || pool.release_extra(1))
+        })
+        .collect();
+    join_lending_slot(&pool, helpers);
+    other.join();
+    let in_use = pool.in_use.load(Ordering::SeqCst);
+    assert_eq!(in_use, 0, "in_use {in_use} at quiescence: a slot drifted");
 }
 
 /// Invariant: with budget B, the extras granted to concurrent reservers
@@ -98,7 +213,7 @@ fn reserve_never_oversubscribes() {
     let report = Model::new("rayon-reserve-no-oversubscribe")
         .max_dfs_schedules(200_000)
         .check(|| {
-            let pool = Arc::new(PoolModel::new(BUDGET));
+            let pool = Arc::new(PoolModel::new(BUDGET, Protocol::Faithful));
             let workers: Vec<_> = (0..2)
                 .map(|_| {
                     let pool = Arc::clone(&pool);
@@ -112,13 +227,13 @@ fn reserve_never_oversubscribes() {
                 "oversubscribed: {total} extras granted with budget {BUDGET}"
             );
             assert_eq!(
-                pool.idle_extra.load(Ordering::SeqCst),
-                BUDGET - 1 - total,
-                "grants and idle extras must reconcile"
+                pool.in_use.load(Ordering::SeqCst),
+                total as isize,
+                "grants and in_use must reconcile"
             );
             pool.release_extra(total);
             // Quiescence: everything returned, nothing lost.
-            assert_eq!(pool.idle_extra.load(Ordering::SeqCst), BUDGET - 1);
+            assert_eq!(pool.in_use.load(Ordering::SeqCst), 0);
         });
     assert!(
         report.exhaustive,
@@ -131,7 +246,7 @@ fn reserve_never_oversubscribes() {
 fn torn_reserve_is_caught() {
     const BUDGET: usize = 3;
     let failure = Model::new("rayon-reserve-torn-MUTATION").expect_failure(|| {
-        let pool = Arc::new(PoolModel::new(BUDGET));
+        let pool = Arc::new(PoolModel::new(BUDGET, Protocol::Faithful));
         let workers: Vec<_> = (0..2)
             .map(|_| {
                 let pool = Arc::clone(&pool);
@@ -148,80 +263,56 @@ fn torn_reserve_is_caught() {
     assert!(failure.message.contains("oversubscribed"), "{failure:?}");
 }
 
-/// Invariant: a release racing a budget *shrink* is bounded by the largest
-/// budget either side observed — `idle_extra <= max(old, new) - 1` at
-/// quiescence, whichever side wins the race.
-///
-/// Note the invariant is deliberately NOT `idle <= new_budget - 1`: the
-/// checker found a real (benign, self-healing) race in the production
-/// protocol — `release_extra` reads its cap *before* the `fetch_update`, so
-/// a shrink landing between the two leaves `idle = old_budget - 1` until the
-/// next reserve/release cycle re-clamps it.  The stronger claim fails on
-/// schedule `0.0.0.0.0.0.0.1.1.1.0.0.0.0.0`; see docs/CORRECTNESS.md.
+/// Invariant: an inner loop in flight recruits the slot an outer helper
+/// released on exit (see [`nested_model`]); no reserve pushes `in_use` past
+/// `budget - 1`, and `in_use == 0` at quiescence.
 #[test]
-fn release_clamp_bounded_by_largest_observed_budget() {
-    const OLD: usize = 3;
-    const NEW: usize = 2;
-    let report = Model::new("rayon-release-clamp")
+fn nested_loop_recruits_released_slot() {
+    let report = Model::new("rayon-nested-released-slot")
         .max_dfs_schedules(200_000)
-        .check(|| {
-            let pool = Arc::new(PoolModel::new(OLD));
-            let holder = {
-                let pool = Arc::clone(&pool);
-                thread::spawn(move || {
-                    let got = pool.reserve_extra(2);
-                    pool.release_extra(got);
-                })
-            };
-            let shrinker = {
-                let pool = Arc::clone(&pool);
-                thread::spawn(move || pool.set_budget(NEW))
-            };
-            holder.join();
-            shrinker.join();
-            let idle = pool.idle_extra.load(Ordering::SeqCst);
-            let cap = OLD.max(NEW) - 1;
-            assert!(
-                idle <= cap,
-                "idle extras {idle} exceed every observed budget cap {cap}"
-            );
-        });
+        .check(|| nested_model(true));
     assert!(report.exhaustive, "{report:?}");
 }
 
-/// Mutation twin: the unclamped release must be caught compounding past even
-/// the largest observed budget (the shrink hands back `new - 1` idle extras,
-/// then the unclamped release adds its full grant on top).
+/// Invariant: an inner loop in flight recruits the slot the outer caller
+/// lent while joining (see [`nested_model`]); no reserve pushes `in_use`
+/// past `budget - 1`, and `in_use == 0` at quiescence.
 #[test]
-fn unclamped_release_is_caught() {
-    const OLD: usize = 3;
-    const NEW: usize = 2;
-    let failure = Model::new("rayon-release-unclamped-MUTATION").expect_failure(|| {
-        let pool = Arc::new(PoolModel::new(OLD));
-        let holder = {
-            let pool = Arc::clone(&pool);
-            thread::spawn(move || {
-                let got = pool.reserve_extra(2);
-                pool.release_extra_unclamped(got);
-            })
-        };
-        let shrinker = {
-            let pool = Arc::clone(&pool);
-            thread::spawn(move || pool.set_budget(NEW))
-        };
-        holder.join();
-        shrinker.join();
-        let idle = pool.idle_extra.load(Ordering::SeqCst);
-        let cap = OLD.max(NEW) - 1;
-        assert!(
-            idle <= cap,
-            "idle extras {idle} exceed every observed budget cap {cap}"
-        );
-    });
-    assert!(
-        failure.message.contains("exceed every observed"),
-        "{failure:?}"
-    );
+fn nested_loop_recruits_lent_slot() {
+    let report = Model::new("rayon-nested-lent-slot")
+        .max_dfs_schedules(200_000)
+        .check(|| nested_model(false));
+    assert!(report.exhaustive, "{report:?}");
+}
+
+/// Invariant: a caller lending its slot beside another program's recruits
+/// (see [`lending_beside_other_program_model`]) leaves `in_use == 0` at
+/// quiescence on every schedule, and no reserve pushes `in_use` past
+/// `budget - 1`.
+#[test]
+fn lent_slot_is_taken_back_exactly() {
+    let report = Model::new("rayon-lend-quiescent")
+        .max_dfs_schedules(200_000)
+        .check(|| lending_beside_other_program_model(Protocol::Faithful));
+    assert!(report.exhaustive, "{report:?}");
+}
+
+/// Mutation twin: taking the lent slot back through `reserve_extra(1)` is
+/// caught drifting once the other program has recruited the lent slot.
+#[test]
+fn take_back_via_reserve_is_caught() {
+    let failure = Model::new("rayon-take-back-via-reserve-MUTATION")
+        .expect_failure(|| lending_beside_other_program_model(Protocol::TakeBackViaReserve));
+    assert!(failure.message.contains("drifted"), "{failure:?}");
+}
+
+/// Mutation twin: a release clamped at zero is caught losing a slot once the
+/// caller has lent its own.
+#[test]
+fn clamped_release_with_lending_is_caught() {
+    let failure = Model::new("rayon-clamped-release-MUTATION")
+        .expect_failure(|| lending_beside_other_program_model(Protocol::ClampedRelease));
+    assert!(failure.message.contains("drifted"), "{failure:?}");
 }
 
 /// The panic-discipline model: workers self-schedule items off a shared

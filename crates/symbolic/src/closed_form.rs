@@ -97,10 +97,16 @@ impl ClosedForm {
                 if !(1.0..=MAX_POWERED_NUMERATOR as f64).contains(&p) {
                     continue;
                 }
-                let r = Rational::new(p as i128, q);
-                let err = (powered - r.to_f64()).abs();
+                // `p / q` is the correctly rounded quotient that
+                // `Rational::new(p, q).to_f64()` returns (both fit exactly in
+                // an f64 before and after reduction), so the `Rational` and
+                // its gcd are only built for a candidate within tolerance.
+                let err = (powered - p / q as f64).abs();
                 if err <= tol {
-                    consider((1, err / scale, q, root, r), &mut best);
+                    consider(
+                        (1, err / scale, q, root, Rational::new(p as i128, q)),
+                        &mut best,
+                    );
                 }
             }
         }
@@ -172,8 +178,39 @@ fn extract_kth_power(r: Rational, k: u32) -> (Rational, Rational) {
     (Rational::new(cn, cd), Rational::new(rn, rd))
 }
 
-/// Split a positive integer `n = c^k · rest` with `rest` k-th-power-free.
+/// Split a positive integer `n = c^k · rest` with `rest` k-th-power-free
+/// (k ≥ 2).
 fn extract_int(n: i128, k: u32) -> (i128, i128) {
+    match u64::try_from(n) {
+        Ok(n) if k >= 2 => {
+            let (c, rest) = extract_int_u64(n, k);
+            (i128::from(c), i128::from(rest))
+        }
+        _ => extract_int_wide(n, k),
+    }
+}
+
+/// [`extract_int`] for inputs that fit a `u64`.  Trial division stops once
+/// `p^k` exceeds what is left (a larger k-th power cannot divide it), and
+/// only 2 and odd `p` are tried.  Odd composites are tried too but never
+/// divide: their prime factors were divided out first.
+fn extract_int_u64(n: u64, k: u32) -> (u64, u64) {
+    let mut c = 1u64;
+    let mut rest = n;
+    let mut p = 2u64;
+    while let Some(pk) = p.checked_pow(k).filter(|&pk| pk <= rest) {
+        while rest.is_multiple_of(pk) {
+            rest /= pk;
+            c *= p;
+        }
+        p += if p == 2 { 1 } else { 2 };
+    }
+    (c, rest)
+}
+
+/// [`extract_int`] for inputs beyond `u64`: trial division by every `p` up
+/// to `√rest`.
+fn extract_int_wide(n: i128, k: u32) -> (i128, i128) {
     let mut c = 1i128;
     let mut rest = n;
     let mut p = 2i128;
@@ -191,6 +228,128 @@ fn extract_int(n: i128, k: u32) -> (i128, i128) {
         p += 1;
     }
     (c, rest)
+}
+
+/// The recognizer as it stood before the bit-exact speedups (a `Rational`
+/// per tier-1 candidate, trial division to `√n` for every root index), kept
+/// verbatim as the differential oracle for [`ClosedForm::recognize`] and
+/// [`extract_int`].
+#[cfg(test)]
+mod oracle {
+    use super::{ClosedForm, MAX_POWERED_NUMERATOR};
+    use crate::rational::Rational;
+
+    /// The former `ClosedForm::recognize`, verbatim.
+    pub fn recognize(value: f64) -> ClosedForm {
+        if !value.is_finite() {
+            return ClosedForm::Numeric(value);
+        }
+        if value == 0.0 {
+            return ClosedForm::Exact {
+                coefficient: Rational::ZERO,
+                radicand: Rational::ONE,
+                root: 1,
+            };
+        }
+        // Values we care about have small numerators/denominators once raised
+        // to the k-th power (e.g. (2√3)² = 12, (32/(3·∛3))³ = 32768/81).  A
+        // continued-fraction match exists for *any* float if the denominator
+        // is allowed to grow, so candidates are restricted to a small set of
+        // denominators and ranked by (tier, error, denominator, root), where
+        // tier 0 means an essentially exact match.
+        const DENOMS: [i128; 22] = [
+            1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 18, 24, 25, 27, 32, 36, 48, 54, 64, 81, 96, 128,
+        ];
+        // (tier, error, denominator, root, rational)
+        let mut best: Option<(u8, f64, i128, u32, Rational)> = None;
+        let consider = |cand: (u8, f64, i128, u32, Rational),
+                        best: &mut Option<(u8, f64, i128, u32, Rational)>| {
+            let better = match best {
+                None => true,
+                Some(b) => (cand.0, cand.1, cand.2, cand.3) < (b.0, b.1, b.2, b.3),
+            };
+            if better {
+                *best = Some(cand);
+            }
+        };
+        for root in [1u32, 2, 3, 4, 6] {
+            let powered = value.abs().powi(root as i32);
+            let scale = powered.abs().max(1.0);
+            // Tier 0: the input is exact up to float noise.  The denominator
+            // bound must stay small: at the larger root indices a continued
+            // fraction with a few-thousand denominator lands within
+            // `1e-9·scale` of essentially *any* float (the spurious-match
+            // probability scales with denom²·tol), which would beat the
+            // legitimate tier-1 match at root 1 on tier alone.
+            if let Some(r) = Rational::approximate(powered, 128, 1e-9 * scale) {
+                // Same sanity cap as tier 1: a "closed form" whose k-th
+                // power needs a ten-digit numerator is numerology, and
+                // extracting k-th powers from it costs a √n trial-division
+                // scan besides.
+                if r.is_positive() && r.numer() <= MAX_POWERED_NUMERATOR {
+                    consider((0, 0.0, r.denom(), root, r), &mut best);
+                    continue;
+                }
+            }
+            // Tier 1: the input carries numeric-optimizer noise; only simple
+            // denominators are considered and the k-th power amplifies the
+            // relative error of `value` by k.
+            let tol = 3e-5 * root as f64 * scale;
+            for &q in &DENOMS {
+                let p = (powered * q as f64).round();
+                if !(1.0..=MAX_POWERED_NUMERATOR as f64).contains(&p) {
+                    continue;
+                }
+                let r = Rational::new(p as i128, q);
+                let err = (powered - r.to_f64()).abs();
+                if err <= tol {
+                    consider((1, err / scale, q, root, r), &mut best);
+                }
+            }
+        }
+        if let Some((_, _, _, root, r)) = best {
+            let (coeff, radicand) = extract_kth_power(r, root);
+            let coefficient = if value < 0.0 { -coeff } else { coeff };
+            return ClosedForm::Exact {
+                coefficient,
+                radicand,
+                root,
+            };
+        }
+        ClosedForm::Numeric(value)
+    }
+
+    /// Split `r = c^k · rest` so that `r^{1/k} = c · rest^{1/k}` with `rest`
+    /// free of k-th powers — this is what turns `√12` into `2√3`.
+    fn extract_kth_power(r: Rational, k: u32) -> (Rational, Rational) {
+        if k == 1 {
+            return (r, Rational::ONE);
+        }
+        let (cn, rn) = extract_int(r.numer(), k);
+        let (cd, rd) = extract_int(r.denom(), k);
+        (Rational::new(cn, cd), Rational::new(rn, rd))
+    }
+
+    /// Split a positive integer `n = c^k · rest` with `rest` k-th-power-free.
+    pub fn extract_int(n: i128, k: u32) -> (i128, i128) {
+        let mut c = 1i128;
+        let mut rest = n;
+        let mut p = 2i128;
+        while p.checked_mul(p).map(|pp| pp <= rest).unwrap_or(false) {
+            let pk = p.checked_pow(k);
+            match pk {
+                Some(pk) if pk > 0 => {
+                    while rest % pk == 0 {
+                        rest /= pk;
+                        c *= p;
+                    }
+                }
+                _ => break,
+            }
+            p += 1;
+        }
+        (c, rest)
+    }
 }
 
 #[cfg(test)]
@@ -259,6 +418,90 @@ mod tests {
         let e = cf.to_expr();
         let v = e.eval(&Default::default()).unwrap();
         assert!((v - 2.0 * 3.0_f64.sqrt()).abs() < 1e-9);
+    }
+
+    /// xorshift64*: the seeded stream of the differential sweep.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        /// Uniform in `[0, 1)`.
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    fn assert_matches_oracle(value: f64) {
+        let (fast, slow) = (ClosedForm::recognize(value), oracle::recognize(value));
+        assert_eq!(fast, slow, "recognize({value:e})");
+        assert_eq!(
+            fast.value().to_bits(),
+            slow.value().to_bits(),
+            "value of recognize({value:e})"
+        );
+    }
+
+    #[test]
+    fn recognize_matches_oracle_on_seeded_sweep() {
+        const ROOTS: [u32; 5] = [1, 2, 3, 4, 6];
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        // Random floats of either sign over twelve decades.
+        for _ in 0..2_000 {
+            let v = 10f64.powf(12.0 * rng.unit() - 6.0);
+            assert_matches_oracle(if rng.below(2) == 0 { v } else { -v });
+        }
+        // k-th roots of small rationals, exact and with 1e-5 relative noise
+        // (the optimizer's noise is ~1e-6, the tier-1 tolerance 3e-5·k).
+        for _ in 0..2_000 {
+            let p = 1 + rng.below(5_000);
+            let q = 1 + rng.below(128);
+            let k = ROOTS[rng.below(5) as usize];
+            let v = (p as f64 / q as f64).powf(1.0 / f64::from(k));
+            assert_matches_oracle(v);
+            assert_matches_oracle(v * (1.0 + 1e-5 * (2.0 * rng.unit() - 1.0)));
+        }
+        // Perfect powers: c·r^{1/k} whose k-th power c^k·r carries a large
+        // k-th-power factor for `extract_int` to pull out.
+        for k in [2u32, 3, 4, 6] {
+            for c in 1..=60u32 {
+                for r in [1u32, 2, 3, 5, 6, 7, 10] {
+                    let v = f64::from(c) * f64::from(r).powf(1.0 / f64::from(k));
+                    assert_matches_oracle(v);
+                    assert_matches_oracle(v / 3.0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn extract_int_matches_oracle() {
+        for k in [2u32, 3, 4, 6] {
+            let edge = [1i128, 999_999_937, 387_420_489, 1 << 29, 1_000_000_000];
+            for n in edge.into_iter().chain(1..=5_000) {
+                let (c, rest) = extract_int(n, k);
+                assert_eq!(
+                    (c, rest),
+                    oracle::extract_int(n, k),
+                    "extract_int({n}, {k})"
+                );
+                assert_eq!(c.pow(k) * rest, n, "extract_int({n}, {k}) must factor n");
+            }
+        }
+        assert_eq!(extract_int(387_420_489, 6), (27, 1));
+        assert_eq!(extract_int(1 << 29, 4), (128, 2));
+        assert_eq!(extract_int(999_999_937, 2), (1, 999_999_937));
+        assert_eq!(extract_int(1_000_000_000, 3), (1_000, 1));
+        assert_eq!(extract_int(1_000_000_000, 6), (10, 1_000));
     }
 
     #[test]
