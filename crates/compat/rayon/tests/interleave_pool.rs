@@ -1,6 +1,6 @@
 //! Model-checked invariants of the worker-budget pool and the
 //! smallest-index panic discipline (see `src/lib.rs`: `reserve_extra`,
-//! `release_extra`, `run_self_scheduled`).
+//! `release_extra`, `set_worker_budget`, `run_self_scheduled`).
 //!
 //! Each invariant comes in two flavours: the faithful port of the production
 //! protocol, which must pass every explored schedule, and a deliberately
@@ -26,20 +26,31 @@ enum Protocol {
     /// `idle_extra` count needed), so a release after the caller lent its
     /// slot is lost and the take-back leaves a slot in use for good.
     ClampedRelease,
+    /// MUTATION: `set_worker_budget` also zeroes `in_use` (as the former
+    /// setter reset the idle count), forgetting the slots held at the time.
+    ResettingBudgetStore,
+}
+
+/// The pool's worker budget.  `set_worker_budget` only stores the budget and
+/// touches no count, so most models hold it constant; reading a constant is
+/// no schedule point, which keeps the nested models exhaustive in CI's time.
+enum Budget {
+    Fixed(usize),
+    /// A budget that `set_worker_budget` may change while work is in flight.
+    Live(AtomicUsize),
 }
 
 /// The production pool protocol, ported shim-for-shim from
-/// `rayon::{reserve_extra, release_extra}` and the take-back in
-/// `run_self_scheduled`.  `set_worker_budget` only stores the budget and
-/// touches no count, so the budget is a plain constant here.
+/// `rayon::{reserve_extra, release_extra, set_worker_budget}` and the
+/// take-back in `run_self_scheduled`.
 struct PoolModel {
-    budget: usize,
+    budget: Budget,
     in_use: AtomicIsize,
     protocol: Protocol,
 }
 
 impl PoolModel {
-    fn new(budget: usize, protocol: Protocol) -> PoolModel {
+    fn new(budget: Budget, protocol: Protocol) -> PoolModel {
         PoolModel {
             budget,
             in_use: AtomicIsize::new(0),
@@ -47,14 +58,35 @@ impl PoolModel {
         }
     }
 
-    /// Faithful port: one atomic `fetch_update` claims
-    /// `min(want, budget - 1 - in_use)`.  Asserts the reserve invariant: a
-    /// grant never pushes `in_use` past `budget - 1`.
+    /// `budget - 1`: the most extra slots the pool grants.
+    fn cap(&self) -> isize {
+        match &self.budget {
+            Budget::Fixed(n) => *n as isize - 1,
+            Budget::Live(n) => n.load(Ordering::Relaxed) as isize - 1,
+        }
+    }
+
+    /// Faithful port of `set_worker_budget`: a store of the budget alone.
+    fn set_budget(&self, n: usize) {
+        match &self.budget {
+            Budget::Fixed(_) => unreachable!("a fixed budget never changes"),
+            Budget::Live(b) => {
+                b.swap(n, Ordering::Relaxed);
+            }
+        }
+        if self.protocol == Protocol::ResettingBudgetStore {
+            self.in_use.store(0, Ordering::Relaxed);
+        }
+    }
+
+    /// Faithful port: read the cap, then one atomic `fetch_update` claims
+    /// `min(want, cap - in_use)`.  Asserts the reserve invariant: a grant
+    /// never pushes `in_use` past the `budget - 1` this reserve read.
     fn reserve_extra(&self, want: usize) -> usize {
         if want == 0 {
             return 0;
         }
-        let cap = self.budget as isize - 1;
+        let cap = self.cap();
         let mut granted = 0;
         let result = self
             .in_use
@@ -79,8 +111,9 @@ impl PoolModel {
         if want == 0 {
             return 0;
         }
+        let cap = self.cap();
         let used = self.in_use.load(Ordering::Relaxed);
-        let granted = (self.budget as isize - 1 - used).clamp(0, want as isize);
+        let granted = (cap - used).clamp(0, want as isize);
         self.in_use.store(used + granted, Ordering::Relaxed);
         granted as usize
     }
@@ -160,7 +193,7 @@ fn join_lending_slot(pool: &PoolModel, helpers: Vec<thread::JoinHandle<()>>) {
 ///   with the light item, lends its slot as it joins; the inner loop recruits
 ///   the lent slot if the loan lands before its first claim.
 fn nested_model(caller_runs_inner: bool) {
-    let pool = Arc::new(PoolModel::new(2, Protocol::Faithful));
+    let pool = Arc::new(PoolModel::new(Budget::Fixed(2), Protocol::Faithful));
     assert_eq!(pool.reserve_extra(1), 1);
     let outer_helper = {
         let pool = Arc::clone(&pool);
@@ -184,7 +217,7 @@ fn nested_model(caller_runs_inner: bool) {
 /// top-level thread (a second daemon connection, say) recruits up to two
 /// helpers and releases them.  At quiescence every slot is back.
 fn lending_beside_other_program_model(protocol: Protocol) {
-    let pool = Arc::new(PoolModel::new(2, protocol));
+    let pool = Arc::new(PoolModel::new(Budget::Fixed(2), protocol));
     let other = {
         let pool = Arc::clone(&pool);
         thread::spawn(move || {
@@ -204,6 +237,30 @@ fn lending_beside_other_program_model(protocol: Protocol) {
     assert_eq!(in_use, 0, "in_use {in_use} at quiescence: a slot drifted");
 }
 
+/// `set_worker_budget` racing work in flight: a thread shrinks the budget
+/// from 2 to 1 while the root recruits a helper and lends its slot as it
+/// joins it.  A reserve that read the budget before the shrink sizes its
+/// grant by the previous cap, so `in_use` can sit above the new `budget - 1`
+/// until that helper leaves; no count is overwritten, so every slot is back
+/// at quiescence.
+fn budget_change_in_flight_model(protocol: Protocol) {
+    let pool = Arc::new(PoolModel::new(Budget::Live(AtomicUsize::new(2)), protocol));
+    let shrink = {
+        let pool = Arc::clone(&pool);
+        thread::spawn(move || pool.set_budget(1))
+    };
+    let helpers = (0..pool.reserve_extra(1))
+        .map(|_| {
+            let pool = Arc::clone(&pool);
+            thread::spawn(move || pool.release_extra(1))
+        })
+        .collect();
+    join_lending_slot(&pool, helpers);
+    shrink.join();
+    let in_use = pool.in_use.load(Ordering::SeqCst);
+    assert_eq!(in_use, 0, "in_use {in_use} at quiescence: a slot drifted");
+}
+
 /// Invariant: with budget B, the extras granted to concurrent reservers
 /// never total more than B−1 — the pool cannot oversubscribe — and every
 /// grant is returned at quiescence.
@@ -213,7 +270,7 @@ fn reserve_never_oversubscribes() {
     let report = Model::new("rayon-reserve-no-oversubscribe")
         .max_dfs_schedules(200_000)
         .check(|| {
-            let pool = Arc::new(PoolModel::new(BUDGET, Protocol::Faithful));
+            let pool = Arc::new(PoolModel::new(Budget::Fixed(BUDGET), Protocol::Faithful));
             let workers: Vec<_> = (0..2)
                 .map(|_| {
                     let pool = Arc::clone(&pool);
@@ -246,7 +303,7 @@ fn reserve_never_oversubscribes() {
 fn torn_reserve_is_caught() {
     const BUDGET: usize = 3;
     let failure = Model::new("rayon-reserve-torn-MUTATION").expect_failure(|| {
-        let pool = Arc::new(PoolModel::new(BUDGET, Protocol::Faithful));
+        let pool = Arc::new(PoolModel::new(Budget::Fixed(BUDGET), Protocol::Faithful));
         let workers: Vec<_> = (0..2)
             .map(|_| {
                 let pool = Arc::clone(&pool);
@@ -295,6 +352,26 @@ fn lent_slot_is_taken_back_exactly() {
         .max_dfs_schedules(200_000)
         .check(|| lending_beside_other_program_model(Protocol::Faithful));
     assert!(report.exhaustive, "{report:?}");
+}
+
+/// Invariant: a budget shrink racing a reserve, its helpers' releases and a
+/// lent slot (see [`budget_change_in_flight_model`]) leaves `in_use == 0` at quiescence, and
+/// no reserve pushes `in_use` past the `budget - 1` it read.
+#[test]
+fn budget_change_in_flight_returns_every_slot() {
+    let report = Model::new("rayon-budget-change-in-flight")
+        .max_dfs_schedules(200_000)
+        .check(|| budget_change_in_flight_model(Protocol::Faithful));
+    assert!(report.exhaustive, "{report:?}");
+}
+
+/// Mutation twin: a budget store that also resets the count is caught
+/// losing the slots held across it.
+#[test]
+fn resetting_budget_store_is_caught() {
+    let failure = Model::new("rayon-resetting-budget-store-MUTATION")
+        .expect_failure(|| budget_change_in_flight_model(Protocol::ResettingBudgetStore));
+    assert!(failure.message.contains("drifted"), "{failure:?}");
 }
 
 /// Mutation twin: taking the lent slot back through `reserve_extra(1)` is
