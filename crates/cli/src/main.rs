@@ -34,8 +34,9 @@ use soap_baselines::sota_bound;
 use soap_frontend::{parse_c, parse_python};
 use soap_ir::Program;
 use soap_sdg::{
-    analyze_program, analyze_suite, parse_timeout_ms, parse_worker_threads, set_worker_budget,
-    SdgOptions, SolveCache, SolveStore, SuiteProgram,
+    analyze_program, analyze_suite, parse_fault_plan, parse_timeout_ms, parse_worker_threads,
+    set_worker_budget, FaultPlan, SdgOptions, SolveCache, SolveStore, SuiteProgram,
+    DEFAULT_CACHE_SHARDS,
 };
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -93,10 +94,11 @@ fn usage() -> ! {
          it; the other subcommands use only --cache-dir)\n  \
          SOAP_TIMEOUT_MS    default per-program budget (same validation as --timeout-ms,\n                     \
          which overrides it); SOAP_SUITE_TIMEOUT_MS likewise for the suite\n  \
-         SOAP_FAULT_PLAN    deterministic fault-injection plan for chaos testing\n                     \
-         (seed=..,store_read_transient=..,store_write_transient=..,\n                     \
-         corrupt_every=..,panic_every=..,cancel_at_subgraph=..,\n                     \
-         cancel_at_level=..); off unless set and well-formed\n  \
+         SOAP_FAULT_PLAN    deterministic fault-injection plan for chaos testing, read by\n                     \
+         kernel, analyze and batch only (seed=..,store_read_transient=..,\n                     \
+         store_write_transient=..,corrupt_every=..,panic_every=..,\n                     \
+         cancel_at_subgraph=..,cancel_at_level=..); a malformed plan warns\n                     \
+         and runs fault-free\n  \
          SOAP_SERVE_ADDR          daemon listen address (see --addr)\n  \
          SOAP_SERVE_HTTP_THREADS  daemon HTTP connection threads (see --http-threads)\n  \
          SOAP_SERVE_SLOTS         daemon concurrent analysis slots (see --slots)\n  \
@@ -106,42 +108,65 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Open a store-backed cache (when `--cache-dir` was given) or a plain one,
-/// surfacing the store's load-time notes on stderr.
-fn open_cache(cache_dir: Option<&str>) -> Result<SolveCache, ExitCode> {
-    let Some(dir) = cache_dir else {
-        return Ok(SolveCache::new());
+/// The fault-injection plan of the analysis subcommands (`kernel`, `analyze`,
+/// `batch`) from `SOAP_FAULT_PLAN`.  Unset or empty means fault-free; a
+/// malformed plan warns on stderr and also runs fault-free, so a typo cannot
+/// pass for a chaos run unnoticed.  `serve` and `cache` never read it.
+fn fault_plan_from_env() -> FaultPlan {
+    let Some(raw) = std::env::var("SOAP_FAULT_PLAN")
+        .ok()
+        .filter(|raw| !raw.trim().is_empty())
+    else {
+        return FaultPlan::default();
     };
-    match SolveCache::with_store(dir) {
-        Ok(cache) => {
-            let load = cache.store_load_stats().expect("store-backed").clone();
-            for note in &load.notes {
-                eprintln!("cache store: {note}");
-            }
-            if load.entries > 0 {
-                eprintln!(
-                    "cache store: hydrated {} canonical solution(s) from {} ({} segment(s), {} bytes)",
-                    load.entries, dir, load.segments, load.bytes
-                );
-            }
-            if let Some(reports) = cache.report_load_stats() {
-                for note in &reports.notes {
-                    eprintln!("cache store: {note}");
-                }
-                if reports.entries > 0 {
-                    eprintln!(
-                        "cache store: hydrated {} finished report(s) from {}",
-                        reports.entries, dir
-                    );
-                }
-            }
-            Ok(cache)
-        }
+    parse_fault_plan(&raw).unwrap_or_else(|| {
+        eprintln!("SOAP_FAULT_PLAN: malformed plan '{raw}' ignored; running fault-free");
+        FaultPlan::default()
+    })
+}
+
+/// Open a store-backed cache (when `--cache-dir` was given) or a plain one
+/// under the `SOAP_FAULT_PLAN` plan, surfacing the store's load-time notes on
+/// stderr.
+fn open_cache(cache_dir: Option<&str>) -> Result<SolveCache, ExitCode> {
+    let cache = match SolveCache::with_faults(
+        cache_dir.map(std::path::Path::new),
+        DEFAULT_CACHE_SHARDS,
+        fault_plan_from_env(),
+    ) {
+        Ok(cache) => cache,
         Err(e) => {
-            eprintln!("cannot open cache store {dir}: {e}");
-            Err(ExitCode::FAILURE)
+            eprintln!(
+                "cannot open cache store {}: {e}",
+                cache_dir.unwrap_or_default()
+            );
+            return Err(ExitCode::FAILURE);
+        }
+    };
+    let (Some(dir), Some(load)) = (cache_dir, cache.store_load_stats()) else {
+        return Ok(cache);
+    };
+    for note in &load.notes {
+        eprintln!("cache store: {note}");
+    }
+    if load.entries > 0 {
+        eprintln!(
+            "cache store: hydrated {} canonical solution(s) from {} ({} segment(s), {} bytes)",
+            load.entries, dir, load.segments, load.bytes
+        );
+    }
+    if let Some(reports) = cache.report_load_stats() {
+        for note in &reports.notes {
+            eprintln!("cache store: {note}");
+        }
+        if reports.entries > 0 {
+            eprintln!(
+                "cache store: hydrated {} finished report(s) from {}",
+                reports.entries, dir
+            );
         }
     }
+    Ok(cache)
 }
 
 /// Flush a store-backed cache at session end, reporting what was persisted.
@@ -574,7 +599,11 @@ fn batch(args: &[String]) -> ExitCode {
 }
 
 fn report(program: &Program, assume_injective: bool, json: bool) -> ExitCode {
-    if report_with(program, assume_injective, json, &SolveCache::new()) {
+    let cache = match open_cache(None) {
+        Ok(c) => c,
+        Err(code) => return code,
+    };
+    if report_with(program, assume_injective, json, &cache) {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -102,6 +102,7 @@ pub(crate) struct Controller {
     pub os_handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
+// lint:allow(global-state): a model thread finds its controller through its own OS thread; each run installs and clears it
 thread_local! {
     /// The controller + thread id of the model thread running on this OS
     /// thread, set by the per-run wrappers in `model.rs` / `thread.rs`.

@@ -96,6 +96,7 @@ struct Pool {
 }
 
 fn pool() -> &'static Pool {
+    // lint:allow(global-state): one worker budget shared by every parallel loop of the process is what the pool is for
     static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(|| {
         let budget = std::env::var("SOAP_THREADS")

@@ -32,3 +32,17 @@ pub fn serialize_counts(counts: &HashMap<String, u64>) -> String {
 pub fn knob() -> bool {
     std::env::var("SOAP_SELF_CHECK_DOCUMENTED").is_ok()
 }
+
+/// Immutable statics are not state.
+static KNOB_NAMES: [&str; 1] = ["SOAP_SELF_CHECK_DOCUMENTED"];
+
+pub fn knob_names() -> &'static [&'static str] {
+    &KNOB_NAMES
+}
+
+// lint:allow(global-state): fixture demonstrates a justified process-wide counter
+static SEQUENCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+pub fn next_sequence() -> u64 {
+    SEQUENCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+}

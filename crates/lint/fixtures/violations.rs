@@ -42,5 +42,12 @@ pub fn knobs() -> (bool, bool) {
     (documented, undocumented)
 }
 
+// global-state: process-global mutable state in library code.
+static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+pub fn bump() -> u64 {
+    COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+}
+
 // lint:allow(no-such-rule): a marker naming an unknown rule is itself flagged
 pub fn marked() {}

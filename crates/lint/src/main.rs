@@ -21,6 +21,10 @@
 //!   the consumer canonicalizes).
 //! * `env-docs`       — every `SOAP_*` name mentioned in non-test code must
 //!   appear in `docs/OPERATIONS.md`; the operational surface stays documented.
+//! * `global-state`   — process-global mutable state in non-test library code
+//!   is forbidden: a `static` whose type holds a lock, a once-cell, an atomic
+//!   or a `Cell`, any `static mut`, and `thread_local!`.  State belongs in a
+//!   value the caller passes; the few process-wide sites carry a marker.
 //! * `bad-marker`     — an allow marker naming an unknown rule or carrying no
 //!   justification is itself a violation.
 //!
@@ -43,14 +47,19 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Every rule the scanner knows, in reporting order.
-const RULES: [&str; 6] = [
+const RULES: [&str; 7] = [
     "partial-cmp",
     "instant-now",
     "unwrap-expect",
     "hashmap-iter",
     "env-docs",
+    "global-state",
     "bad-marker",
 ];
+
+/// Type names that make a `static` mutable process-global state (`Cell` also
+/// matches `RefCell`, `OnceCell` and `UnsafeCell`; `Atomic` every atomic).
+const GLOBAL_STATE_TYPES: [&str; 6] = ["Mutex", "RwLock", "OnceLock", "LazyLock", "Atomic", "Cell"];
 
 /// One finding: file, 1-based line, rule, human message.
 struct Violation {
@@ -331,12 +340,14 @@ impl<'a> SourceFile<'a> {
         } else {
             Vec::new()
         };
+        let mut thread_local_depth = 0;
         for (i, masked) in self.masked.iter().enumerate() {
             if !self.in_test_region(i) {
                 self.rule_partial_cmp(&mut out, i, masked);
                 self.rule_instant_now(&mut out, i, masked);
                 self.rule_unwrap_expect(&mut out, i, masked);
                 self.rule_hashmap_iter(&mut out, i, masked, &map_names);
+                self.rule_global_state(&mut out, i, masked, &mut thread_local_depth);
                 if !self.allowed("env-docs", i) {
                     collect_env_mentions(self.rel, i, self.raw[i], env_reads);
                 }
@@ -394,6 +405,51 @@ impl<'a> SourceFile<'a> {
         }
     }
 
+    /// `thread_local_depth` is the brace depth of an open `thread_local!`
+    /// block: the block is reported once, at the macro, not per `static`.
+    fn rule_global_state(
+        &self,
+        out: &mut Vec<Violation>,
+        i: usize,
+        masked: &str,
+        thread_local_depth: &mut isize,
+    ) {
+        if !self.is_library_code() {
+            return;
+        }
+        let braces =
+            |text: &str| text.matches('{').count() as isize - text.matches('}').count() as isize;
+        if *thread_local_depth > 0 {
+            *thread_local_depth += braces(masked);
+            return;
+        }
+        if let Some(at) = masked.find("thread_local!") {
+            *thread_local_depth = braces(&masked[at..]);
+            self.push(
+                out,
+                "global-state",
+                i,
+                "thread_local! in library code — per-thread mutable state; \
+                 pass the state explicitly or justify it with a marker"
+                    .to_string(),
+            );
+            return;
+        }
+        let Some(decl) = static_decl(masked) else {
+            return;
+        };
+        let ty = decl.split('=').next().unwrap_or(decl);
+        let msg = if decl.starts_with("mut ") {
+            "static mut in library code — process-global mutable state"
+        } else if GLOBAL_STATE_TYPES.iter().any(|t| ty.contains(t)) {
+            "static with interior mutability in library code — process-global \
+             mutable state; pass it as a value or justify it with a marker"
+        } else {
+            return;
+        };
+        self.push(out, "global-state", i, msg.to_string());
+    }
+
     fn rule_hashmap_iter(
         &self,
         out: &mut Vec<Violation>,
@@ -448,6 +504,19 @@ fn parse_marker(rest: &str) -> Result<&'static str, String> {
         ));
     }
     Ok(rule)
+}
+
+/// The text after `static ` when `masked` declares a static item (of any
+/// visibility), else `None`.
+fn static_decl(masked: &str) -> Option<&str> {
+    let mut t = masked.trim_start();
+    if let Some(rest) = t.strip_prefix("pub") {
+        t = rest.trim_start();
+        if t.starts_with('(') {
+            t = t[t.find(')')? + 1..].trim_start();
+        }
+    }
+    t.strip_prefix("static ")
 }
 
 /// Identifiers bound to a `HashMap` in this file: `let [mut] NAME … HashMap`
@@ -947,6 +1016,56 @@ mod tests {
         assert_eq!(v[0].rule, "env-docs");
         let v = check_env_docs(&reads, "docs mention SOAP_NEW_KNOB properly");
         assert!(v.is_empty());
+    }
+
+    #[test]
+    fn global_state_flags_mutable_statics_and_thread_locals() {
+        for src in [
+            "static LOCK: Mutex<()> = Mutex::new(());",
+            "pub(crate) static SEQ: AtomicU64 = AtomicU64::new(0);",
+            "fn f() {\n    static CELL: OnceLock<u32> = OnceLock::new();\n}",
+            "static mut COUNT: u32 = 0;",
+            "pub static LAZY: LazyLock<Vec<u8>> = LazyLock::new(Vec::new);",
+        ] {
+            let v = lint_str("crates/x/src/lib.rs", src);
+            assert_eq!(v.len(), 1, "{src}");
+            assert_eq!(v[0].rule, "global-state");
+        }
+        // A thread_local! block is reported once, at the macro.
+        let v = lint_str(
+            "crates/x/src/lib.rs",
+            "thread_local! {\n    static CTX: RefCell<u32> = const { RefCell::new(0) };\n}\n\
+             static LATER: Mutex<u8> = Mutex::new(0);",
+        );
+        assert_eq!(
+            v.iter().map(|v| (v.rule, v.line)).collect::<Vec<_>>(),
+            vec![("global-state", 1), ("global-state", 4)]
+        );
+        // Immutable statics and `'static` lifetimes are not state.
+        for src in [
+            "static NAMES: [&str; 2] = [\"Mutex\", \"Cell\"];",
+            "fn name() -> &'static str { \"x\" }",
+            "const SEQ: AtomicU64 = AtomicU64::new(0);",
+        ] {
+            assert!(lint_str("crates/x/src/lib.rs", src).is_empty(), "{src}");
+        }
+    }
+
+    #[test]
+    fn global_state_respects_scope_and_markers() {
+        let src = "static LOCK: Mutex<()> = Mutex::new(());";
+        // Binaries, test files and the test region are out of scope.
+        assert!(lint_str("crates/x/src/main.rs", src).is_empty());
+        assert!(lint_str("crates/x/src/bin/tool.rs", src).is_empty());
+        assert!(lint_str("crates/x/tests/t.rs", src).is_empty());
+        let in_tests = format!("fn f() {{}}\n#[cfg(test)]\nmod tests {{\n    {src}\n}}");
+        assert!(lint_str("crates/x/src/lib.rs", &in_tests).is_empty());
+        // A justified marker on the line above suppresses it.
+        let marked = format!("// lint:allow(global-state): one process-wide lock by design\n{src}");
+        assert!(lint_str("crates/x/src/lib.rs", &marked).is_empty());
+        let marked = "// lint:allow(global-state): harness context is per OS thread\n\
+                      thread_local! {\n    static CTX: Cell<u8> = Cell::new(0);\n}";
+        assert!(lint_str("crates/x/src/lib.rs", marked).is_empty());
     }
 
     #[test]

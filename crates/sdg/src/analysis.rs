@@ -230,8 +230,8 @@ impl ProgramAnalysis {
 /// a private cache (`&SolveCache::new()`) — see the order-invariance notes on
 /// [`crate::cache`].
 ///
-/// With no deadline (and no active fault plan) nothing is abandoned.  When
-/// the deadline expires — or the active [`crate::faults::FaultPlan`] trips a
+/// With no deadline (and a fault-free cache) nothing is abandoned.  When
+/// the deadline expires — or the cache's [`crate::faults::FaultPlan`] trips a
 /// deterministic cancellation — the analysis abandons work only at commit
 /// points (enumeration level boundaries, per-subgraph closure starts, KKT
 /// iteration checks) and returns a **degraded-but-sound** result instead of
@@ -270,7 +270,7 @@ pub fn analyze_program(
             arrays_deferred: 0,
         });
     }
-    let plan = crate::faults::active_plan();
+    let plan = &cache.faults;
     let mut notes = Vec::new();
     // lint:allow(instant-now): phase timings are perf metadata on the report; bound computation never depends on them
     let enumerate_start = Instant::now();
@@ -280,7 +280,7 @@ pub fn analyze_program(
         opts.max_subgraph_size,
         opts.max_subgraphs,
         deadline,
-        plan.as_deref().and_then(|p| p.level_cap()),
+        plan.level_cap(),
     );
     let enumerate_ms = enumerate_start.elapsed().as_secs_f64() * 1e3;
     if enumeration.truncated {
@@ -323,16 +323,11 @@ pub fn analyze_program(
             // Cancellation commit point: the plan trip is a pure function of
             // the enumeration index (thread-independent), the wall-clock
             // check is best-effort.  Checked before any work is spent.
-            if plan.as_deref().is_some_and(|p| p.cancels_subgraph(index))
-                || deadline.is_some_and(|d| d.expired())
-            {
+            if plan.cancels_subgraph(index) || deadline.is_some_and(|d| d.expired()) {
                 return Err(SubgraphFailure::Cancelled);
             }
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if plan
-                    .as_deref()
-                    .is_some_and(|p| p.panics_subgraph(program_name, arrays))
-                {
+                if plan.panics_subgraph(program_name, arrays) {
                     panic!(
                         "injected fault-plan panic (program {program_name}, subgraph {arrays:?})"
                     );

@@ -50,6 +50,7 @@
 //! the same order-invariance argument makes warm results byte-identical to
 //! cold ones.
 
+use crate::faults::FaultPlan;
 use crate::store::{SolveStore, StoreFlushStats, StoreLoadStats, StoredReport};
 use soap_core::{solve_model, AccessModel, AnalysisError, IntensityResult};
 use soap_symbolic::{
@@ -473,6 +474,9 @@ pub struct SolveCache {
     scopes: AtomicU64,
     /// The disk-persisted layer, when opened with [`SolveCache::with_store`].
     store: Option<StoreLayer>,
+    /// The fault plan of every analysis and store operation through this
+    /// cache (see [`SolveCache::with_faults`]); fault-free by default.
+    pub(crate) faults: FaultPlan,
 }
 
 /// The disk-persistence state of a store-backed cache: the store itself, the
@@ -583,6 +587,7 @@ impl SolveCache {
             counters: CacheCounters::default(),
             scopes: AtomicU64::new(0),
             store: None,
+            faults: FaultPlan::default(),
         }
     }
 
@@ -599,9 +604,34 @@ impl SolveCache {
     /// counted notes, never a panic: see
     /// [`store_load_stats`](SolveCache::store_load_stats).
     pub fn with_store(dir: impl Into<std::path::PathBuf>) -> std::io::Result<SolveCache> {
-        let store = SolveStore::open(dir)?;
+        SolveCache::with_faults(
+            Some(&dir.into()),
+            DEFAULT_CACHE_SHARDS,
+            FaultPlan::default(),
+        )
+    }
+
+    /// A cache with `shards` lock stripes under the fault-injection `plan` —
+    /// store-backed like [`with_store`](SolveCache::with_store) when
+    /// `store_dir` is given, in-memory like
+    /// [`with_shards`](SolveCache::with_shards) otherwise.  The plan governs
+    /// this cache's store hydration, flushes and salvage writes, and the
+    /// fault decision points of every [`analyze_program`](crate::analyze_program)
+    /// run through it; no other cache is affected.  With
+    /// `FaultPlan::default()` this is exactly `with_store` / `with_shards`.
+    pub fn with_faults(
+        store_dir: Option<&std::path::Path>,
+        shards: usize,
+        plan: FaultPlan,
+    ) -> std::io::Result<SolveCache> {
+        let mut cache = SolveCache::with_shards(shards);
+        cache.faults = plan;
+        let Some(dir) = store_dir else {
+            return Ok(cache);
+        };
+        let mut store = SolveStore::open(dir)?;
+        store.faults = plan;
         let (entries, load_stats) = store.load()?;
-        let mut cache = SolveCache::new();
         let mut persisted = std::collections::HashSet::with_capacity(entries.len());
         for (key, solution) in entries {
             let cell: Arc<SolveCell> = Arc::default();
@@ -1447,6 +1477,41 @@ mod tests {
         }
         let store = SolveStore::open(&dir).unwrap();
         assert!(store.segment_files().unwrap().is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_flush_keeps_every_entry_pending() {
+        let dir = std::env::temp_dir().join(format!("soap-cache-wfault-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let program = soap_ir::ProgramBuilder::new("mm")
+            .statement(|st| {
+                st.loops(&[("i", "0", "N"), ("j", "0", "N"), ("k", "0", "N")])
+                    .update("C", "i,j")
+                    .read("A", "i,k")
+                    .read("B", "k,j")
+            })
+            .build()
+            .unwrap();
+        let plan = FaultPlan {
+            store_write_transient: 3,
+            ..FaultPlan::default()
+        };
+        let mut cache = SolveCache::with_faults(Some(&dir), DEFAULT_CACHE_SHARDS, plan).unwrap();
+        crate::analyze_program(&program, &crate::SdgOptions::default(), &cache, None).unwrap();
+        let err = cache.flush_store().unwrap_err();
+        assert!(err.to_string().contains("injected"), "{err}");
+        // The failed flush marked nothing as persisted: once the store
+        // writes again, the same cache persists every solve and the report.
+        cache.store.as_mut().unwrap().store.faults = FaultPlan::default();
+        let flush = cache.flush_store().unwrap();
+        assert!(flush.appended > 0);
+        assert_eq!(flush.reports_appended, 1);
+        drop(cache);
+        let warm = SolveCache::with_store(&dir).unwrap();
+        assert_eq!(warm.store_load_stats().unwrap().entries, flush.appended);
+        assert_eq!(warm.report_load_stats().unwrap().entries, 1);
+        drop(warm);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -8,20 +8,21 @@
 //! never a call-sequence counter — so the same plan faults the same
 //! operations for any thread count, shard count, or retry interleaving.
 //!
-//! Plans are off by default and gated behind the `SOAP_FAULT_PLAN`
-//! environment variable (read once per process), e.g.
+//! A plan is a plain value carried by the [`SolveCache`](crate::SolveCache)
+//! it was built into ([`SolveCache::with_faults`](crate::SolveCache::with_faults)):
+//! the cache's store uses it for hydration, flush and salvage, and
+//! [`analyze_program`](crate::analyze_program) reads it at its level-cap,
+//! subgraph-cancel and subgraph-panic decision points.  Every other
+//! constructor builds a fault-free cache, so a faulted and a fault-free
+//! analysis can share one process.  The library reads no environment;
+//! `soap-cli` parses `SOAP_FAULT_PLAN` for its analysis subcommands, e.g.
 //!
 //! ```text
 //! SOAP_FAULT_PLAN=seed=42,store_read_transient=1,corrupt_every=7,panic_every=11
 //! ```
-//!
-//! Tests inject plans in-process through [`override_plan`], which holds a
-//! global gate so concurrent tests cannot observe each other's plans.
-
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 
 /// A parsed fault-injection plan.  The default plan injects nothing.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Seed mixed into every identity hash; two plans with different seeds
     /// fault different (but individually deterministic) operation sets.
@@ -116,8 +117,8 @@ impl FaultPlan {
 ///
 /// Strictly validated in the spirit of [`rayon::parse_worker_threads`]: any
 /// unknown key, malformed pair, duplicate key, or unparsable value rejects
-/// the whole plan (`None`), so a typo degrades to "no faults" loudly in tests
-/// rather than silently injecting a different plan.
+/// the whole plan (`None`) rather than silently injecting a different plan;
+/// `soap-cli` warns on stderr and runs fault-free.
 pub fn parse_fault_plan(raw: &str) -> Option<FaultPlan> {
     let raw = raw.trim();
     if raw.is_empty() {
@@ -145,54 +146,6 @@ pub fn parse_fault_plan(raw: &str) -> Option<FaultPlan> {
         seen.push(key);
     }
     Some(plan)
-}
-
-static ENV_PLAN: OnceLock<Option<Arc<FaultPlan>>> = OnceLock::new();
-static OVERRIDE: RwLock<Option<Option<Arc<FaultPlan>>>> = RwLock::new(None);
-static OVERRIDE_GATE: Mutex<()> = Mutex::new(());
-
-/// The process-wide active fault plan: a test override when one is live,
-/// otherwise `SOAP_FAULT_PLAN` (read and parsed once per process).
-pub fn active_plan() -> Option<Arc<FaultPlan>> {
-    // lint:allow(unwrap-expect): override-lock holders only clone or assign; they cannot panic while holding it
-    if let Some(overridden) = OVERRIDE.read().expect("fault override lock").as_ref() {
-        return overridden.clone();
-    }
-    ENV_PLAN
-        .get_or_init(|| {
-            std::env::var("SOAP_FAULT_PLAN")
-                .ok()
-                .and_then(|raw| parse_fault_plan(&raw))
-                .map(Arc::new)
-        })
-        .clone()
-}
-
-/// RAII guard of a live [`override_plan`]; dropping it restores the
-/// environment-derived plan and releases the cross-test gate.
-pub struct PlanOverrideGuard {
-    _gate: MutexGuard<'static, ()>,
-}
-
-impl Drop for PlanOverrideGuard {
-    fn drop(&mut self) {
-        // lint:allow(unwrap-expect): override-lock holders only clone or assign; they cannot panic while holding it
-        *OVERRIDE.write().expect("fault override lock") = None;
-    }
-}
-
-/// Install `plan` (including explicitly "no plan") as the active plan until
-/// the returned guard drops.  Holds a global mutex for the guard's lifetime
-/// so concurrently running tests serialize instead of cross-injecting; a
-/// test that panicked while holding the gate does not poison it for the rest
-/// of the suite.
-pub fn override_plan(plan: Option<FaultPlan>) -> PlanOverrideGuard {
-    let gate = OVERRIDE_GATE
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    // lint:allow(unwrap-expect): override-lock holders only clone or assign; they cannot panic while holding it
-    *OVERRIDE.write().expect("fault override lock") = Some(plan.map(Arc::new));
-    PlanOverrideGuard { _gate: gate }
 }
 
 #[cfg(test)]
@@ -271,19 +224,5 @@ mod tests {
         assert!(!plan.panics_subgraph("prog", &["A".to_string()]));
         assert!(!plan.cancels_subgraph(0));
         assert_eq!(plan.level_cap(), None);
-    }
-
-    #[test]
-    fn override_wins_and_restores_on_drop() {
-        {
-            let _guard = override_plan(Some(FaultPlan {
-                seed: 7,
-                ..FaultPlan::default()
-            }));
-            assert_eq!(active_plan().unwrap().seed, 7);
-        }
-        // After the guard drops the override is gone (the env fallback may
-        // or may not be set in this process; it just must not be seed 7).
-        assert!(active_plan().is_none_or(|p| p.seed != 7));
     }
 }

@@ -47,7 +47,7 @@ pub use analysis::{
     analyze_program, analyze_program_with_cache, ArrayBound, PhaseTimings, ProgramAnalysis,
     SdgOptions, SolverSummary,
 };
-pub use faults::{active_plan, override_plan, parse_fault_plan, FaultPlan, PlanOverrideGuard};
+pub use faults::{parse_fault_plan, FaultPlan};
 pub use soap_symbolic::Deadline;
 // The worker-pool controls live in the vendored `rayon` stand-in; re-export
 // them so CLI/bench/test crates configure threading through one front door.

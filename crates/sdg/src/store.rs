@@ -61,6 +61,7 @@ use crate::analysis::{ArrayBound, SubgraphIntensity};
 use crate::cache::{
     CanonicalAtom, CanonicalDominator, CanonicalKey, CanonicalRow, CanonicalSolution,
 };
+use crate::faults::FaultPlan;
 use serde::{DeError, Deserialize, Serialize, Value};
 use soap_core::{AnalysisError, IntensityResult};
 use soap_symbolic::{Expr, Polynomial, Rational};
@@ -113,7 +114,7 @@ const STORE_IO_ATTEMPTS: u32 = 3;
 
 /// Run `op` up to [`STORE_IO_ATTEMPTS`] times with a tiny linear backoff
 /// between attempts.  `injected(attempt)` short-circuits the attempt with a
-/// synthetic transient error when the active fault plan says so, keeping the
+/// synthetic transient error when the store's fault plan says so, keeping the
 /// injection point *inside* the retry loop so the heal path is the one the
 /// production code actually takes.
 fn retry_io<T>(
@@ -230,6 +231,9 @@ pub struct StoreFlushStats {
 #[derive(Debug)]
 pub struct SolveStore {
     dir: PathBuf,
+    /// The fault plan of the [`SolveCache`](crate::SolveCache) that opened
+    /// this store; fault-free for every public constructor.
+    pub(crate) faults: FaultPlan,
 }
 
 /// Process-wide sequence number making segment names unique even when two
@@ -237,6 +241,7 @@ pub struct SolveStore {
 /// directory — land in the same `SystemTime` tick.  A per-instance counter
 /// would let two instances compute the identical segment name and the later
 /// rename silently replace the earlier segment.
+// lint:allow(global-state): segment-name uniqueness must hold across every SolveStore of the process (see above)
 static SEGMENT_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl SolveStore {
@@ -244,7 +249,10 @@ impl SolveStore {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<SolveStore> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        Ok(SolveStore { dir })
+        Ok(SolveStore {
+            dir,
+            faults: FaultPlan::default(),
+        })
     }
 
     /// Open a store directory that must already exist — for inspection
@@ -259,7 +267,10 @@ impl SolveStore {
                 format!("store directory {} does not exist", dir.display()),
             ));
         }
-        Ok(SolveStore { dir })
+        Ok(SolveStore {
+            dir,
+            faults: FaultPlan::default(),
+        })
     }
 
     /// The store directory.
@@ -305,7 +316,6 @@ impl SolveStore {
         family: &Family,
         decode: impl Fn(&str) -> Option<T>,
     ) -> io::Result<(Vec<T>, StoreLoadStats)> {
-        let plan = crate::faults::active_plan();
         let mut stats = StoreLoadStats::default();
         let mut decoded: Vec<T> = Vec::new();
         for path in self.family_files(family.prefix)? {
@@ -313,10 +323,7 @@ impl SolveStore {
                 .file_name()
                 .map(|n| n.to_string_lossy().into_owned())
                 .unwrap_or_default();
-            let injected = |attempt: u32| {
-                plan.as_deref()
-                    .is_some_and(|p| p.store_read_fails(&name, attempt))
-            };
+            let injected = |attempt: u32| self.faults.store_read_fails(&name, attempt);
             let text = match retry_io(&name, injected, || std::fs::read_to_string(&path)) {
                 Ok(t) => t,
                 Err(e) => {
@@ -325,9 +332,10 @@ impl SolveStore {
                     continue;
                 }
             };
-            let text = match plan.as_deref() {
-                Some(p) if p.corrupts_segment(&name) => corrupt_first_record(&text),
-                _ => text,
+            let text = if self.faults.corrupts_segment(&name) {
+                corrupt_first_record(&text)
+            } else {
+                text
             };
             stats.bytes += text.len() as u64;
             let mut lines = text.lines();
@@ -528,11 +536,7 @@ impl SolveStore {
             text.push_str(line);
             text.push('\n');
         }
-        let plan = crate::faults::active_plan();
-        let injected = |attempt: u32| {
-            plan.as_deref()
-                .is_some_and(|p| p.store_write_fails(&name, attempt))
-        };
+        let injected = |attempt: u32| self.faults.store_write_fails(&name, attempt);
         retry_io(&name, injected, || {
             let mut f = std::fs::File::create(&tmp)?;
             f.write_all(text.as_bytes())?;

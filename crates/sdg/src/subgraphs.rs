@@ -12,9 +12,8 @@
 //! The enumeration runs entirely on dense bitmask sets ([`BitSet`] over
 //! computed-array indices, see [`Sdg::computed_adjacency`]) with hash-based
 //! deduplication; array names only reappear in the final conversion of the
-//! results.  The seed's string-set algorithm is retained as
-//! [`enumerate_connected_subgraphs_naive`] — it is the differential-testing
-//! reference and the "before" side of the `subgraph_enumeration` benchmark.
+//! results.  The seed's string-set algorithm is kept in the integration
+//! tests (`tests/common/naive.rs`) as the differential-testing reference.
 //!
 //! ## Parallelism
 //!
@@ -33,7 +32,7 @@ use crate::graph::Sdg;
 use rayon::prelude::*;
 use soap_bitset::BitSet;
 use soap_symbolic::Deadline;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 
 /// Below this many frontier sets a level is expanded serially: the per-level
 /// thread-pool round trip costs more than the expansion itself.
@@ -199,59 +198,6 @@ pub fn enumerate_connected_subgraphs_governed(
         truncated,
         deadline_truncated,
     }
-}
-
-/// The seed's string-set enumeration, kept as a slow reference.
-///
-/// Produces every connected subset up to `max_size`, capped at `max_count`,
-/// as sorted name lists — semantically the set of subgraphs
-/// [`enumerate_connected_subgraphs`] must reproduce (the differential tests
-/// compare the two on chains, stars and dense random SDGs).  Unlike the fast
-/// path it spends its time cloning `Vec<String>` sets into a `BTreeSet`,
-/// which is exactly the behaviour the bitset rewrite removed.
-pub fn enumerate_connected_subgraphs_naive(
-    sdg: &Sdg,
-    max_size: usize,
-    max_count: usize,
-) -> Vec<Vec<String>> {
-    let computed: BTreeSet<String> = sdg.computed.iter().cloned().collect();
-    let singletons: Vec<Vec<String>> = sdg.computed.iter().map(|a| vec![a.clone()]).collect();
-    let mut seen: BTreeSet<Vec<String>> = singletons.iter().cloned().collect();
-    let mut out: Vec<Vec<String>> = singletons.clone();
-    let mut frontier = singletons;
-
-    for _size in 2..=max_size {
-        if frontier.is_empty() {
-            break;
-        }
-        let mut next: Vec<Vec<String>> = Vec::new();
-        'outer: for set in &frontier {
-            let mut candidates: BTreeSet<String> = BTreeSet::new();
-            for v in set {
-                for n in sdg.neighbours(v) {
-                    if computed.contains(&n) && !set.contains(&n) {
-                        candidates.insert(n);
-                    }
-                }
-            }
-            for cand in candidates {
-                let mut extended = set.clone();
-                extended.push(cand);
-                extended.sort();
-                if seen.contains(&extended) {
-                    continue;
-                }
-                if out.len() >= max_count {
-                    break 'outer;
-                }
-                seen.insert(extended.clone());
-                out.push(extended.clone());
-                next.push(extended);
-            }
-        }
-        frontier = next;
-    }
-    out
 }
 
 #[cfg(test)]

@@ -11,11 +11,15 @@
 //! set of faulted operations is predictable from the outside — which is what
 //! lets these tests say "this exact program is hit, every other one is
 //! byte-identical to the fault-free run".
+//!
+//! A plan reaches the pipeline only through the cache it was built into
+//! (`SolveCache::with_faults`); every other cache is fault-free, so the
+//! tests of this binary run concurrently without serializing on a plan.
 
 use soap_kernels::registry;
 use soap_sdg::{
-    analyze_suite, enumerate_connected_subgraphs, override_plan, FaultPlan, Sdg, SdgOptions,
-    SolveCache, SolveStore, SuiteProgram,
+    analyze_suite, enumerate_connected_subgraphs, FaultPlan, Sdg, SdgOptions, SolveCache,
+    SolveStore, SuiteProgram, DEFAULT_CACHE_SHARDS,
 };
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -102,10 +106,9 @@ fn assert_reconciled(analysis: &soap_sdg::ProgramAnalysis) {
     );
 }
 
-/// Fault-free reference dumps, name → dump, under an explicit empty plan so
-/// a stray `SOAP_FAULT_PLAN` in the environment cannot leak in.
+/// Fault-free reference dumps, name → dump.  The library reads no
+/// environment, so a stray `SOAP_FAULT_PLAN` cannot leak into a plain cache.
 fn baseline() -> Vec<(String, String)> {
-    let _guard = override_plan(None);
     let batch = analyze_suite(&jobs(), &SolveCache::new(), None, None);
     assert_eq!(batch.summary.failures, 0);
     batch
@@ -152,8 +155,9 @@ fn injected_panics_stay_isolated_and_accounting_reconciles() {
         jobs.len()
     );
 
-    let _guard = override_plan(Some(plan));
-    let batch = analyze_suite(&jobs, &SolveCache::new(), None, None);
+    let cache =
+        SolveCache::with_faults(None, DEFAULT_CACHE_SHARDS, plan).expect("in-memory cache opens");
+    let batch = analyze_suite(&jobs, &cache, None, None);
     // Panics are absorbed per-subgraph: nothing aborts, no program errors.
     assert_eq!(batch.summary.failures, 0);
     assert_eq!(batch.summary.programs, jobs.len());
@@ -183,7 +187,6 @@ fn injected_panics_stay_isolated_and_accounting_reconciles() {
 
 /// Populate a store at `dir` fault-free; returns the per-program dumps.
 fn seed_store(dir: &Path) -> Vec<(String, String)> {
-    let _guard = override_plan(None);
     let cache = SolveCache::with_store(dir).expect("store opens");
     let batch = analyze_suite(&jobs(), &cache, None, None);
     assert_eq!(batch.summary.failures, 0);
@@ -203,12 +206,13 @@ fn transient_store_read_faults_heal_inside_the_retry_loop() {
 
     // One injected failure per segment: attempt 0 fails, attempt 1 reads the
     // segment — hydration is complete and the warm run re-solves nothing.
-    let _guard = override_plan(Some(FaultPlan {
+    let plan = FaultPlan {
         seed: 7,
         store_read_transient: 1,
         ..FaultPlan::default()
-    }));
-    let cache = SolveCache::with_store(&dir).expect("store opens through the retry loop");
+    };
+    let cache = SolveCache::with_faults(Some(&dir), DEFAULT_CACHE_SHARDS, plan)
+        .expect("store opens through the retry loop");
     let stats = cache.store_load_stats().expect("store stats present");
     assert_eq!(stats.segments_rejected, 0, "notes: {:?}", stats.notes);
     assert_eq!(stats.quarantined, 0);
@@ -237,12 +241,13 @@ fn permanent_store_read_faults_reject_segments_without_aborting() {
     // More injected failures than the retry budget: every segment read
     // fails permanently.  The store degrades to "nothing hydrated" with
     // counted, noted rejections — and the batch silently re-solves.
-    let _guard = override_plan(Some(FaultPlan {
+    let plan = FaultPlan {
         seed: 7,
         store_read_transient: 10,
         ..FaultPlan::default()
-    }));
-    let cache = SolveCache::with_store(&dir).expect("open survives rejected segments");
+    };
+    let cache = SolveCache::with_faults(Some(&dir), DEFAULT_CACHE_SHARDS, plan)
+        .expect("open survives rejected segments");
     let stats = cache.store_load_stats().expect("store stats present");
     assert!(stats.segments_rejected > 0);
     assert_eq!(stats.entries, 0);
@@ -277,12 +282,13 @@ fn corrupt_segments_are_quarantined_once_and_stay_silent_after() {
 
     // Corrupt every segment on read: each one loses its records, is counted,
     // and is renamed out of the segment namespace.
-    let guard = override_plan(Some(FaultPlan {
+    let plan = FaultPlan {
         seed: 7,
         corrupt_every: 1,
         ..FaultPlan::default()
-    }));
-    let cache = SolveCache::with_store(&dir).expect("open survives corrupt segments");
+    };
+    let cache = SolveCache::with_faults(Some(&dir), DEFAULT_CACHE_SHARDS, plan)
+        .expect("open survives corrupt segments");
     let stats = cache.store_load_stats().expect("store stats present");
     assert!(stats.records_skipped > 0);
     assert_eq!(stats.quarantined, segments_before);
@@ -297,7 +303,6 @@ fn corrupt_segments_are_quarantined_once_and_stay_silent_after() {
             "{name}: output diverged after quarantine"
         );
     }
-    drop(guard);
 
     // On disk: each corrupt segment was renamed `*.quarantined` after its
     // surviving records were salvaged into a fresh segment, so a second open
@@ -312,7 +317,6 @@ fn corrupt_segments_are_quarantined_once_and_stay_silent_after() {
         !store.segment_files().expect("segments listed").is_empty(),
         "salvage must leave the surviving records in the segment namespace"
     );
-    let _guard = override_plan(None);
     let reopened = SolveCache::with_store(&dir).expect("reopen succeeds");
     let stats = reopened.store_load_stats().expect("store stats present");
     assert_eq!(stats.records_skipped, 0);
@@ -323,5 +327,73 @@ fn corrupt_segments_are_quarantined_once_and_stay_silent_after() {
         "quarantined segments must not re-warn: {:?}",
         stats.notes
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `.tmp-*` staging files left in `dir` (a failed write must leave none).
+fn staging_files(dir: &Path) -> Vec<PathBuf> {
+    std::fs::read_dir(dir)
+        .expect("store dir lists")
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with(".tmp-"))
+        })
+        .collect()
+}
+
+#[test]
+fn transient_store_write_faults_heal_inside_the_retry_loop() {
+    let dir = temp_dir("write-heal");
+    // One injected failure per segment write: attempt 0 fails, attempt 1
+    // writes it, so the flush succeeds as if nothing had happened.
+    let plan = FaultPlan {
+        seed: 7,
+        store_write_transient: 1,
+        ..FaultPlan::default()
+    };
+    let cache =
+        SolveCache::with_faults(Some(&dir), DEFAULT_CACHE_SHARDS, plan).expect("store opens");
+    let cold = analyze_suite(&jobs(), &cache, None, None);
+    assert_eq!(cold.summary.failures, 0);
+    let flushed = cache
+        .flush_store()
+        .expect("flush heals inside the retry loop");
+    assert!(flushed.appended > 0 && flushed.reports_appended > 0);
+    drop(cache);
+    assert!(staging_files(&dir).is_empty());
+
+    let warm = SolveCache::with_store(&dir).expect("store reopens");
+    let stats = warm.store_load_stats().expect("store stats present");
+    assert_eq!(stats.entries, flushed.appended, "notes: {:?}", stats.notes);
+    assert_eq!(stats.records_skipped + stats.segments_rejected, 0);
+    let reports = warm.report_load_stats().expect("report stats present");
+    assert_eq!(reports.entries, flushed.reports_appended);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn permanent_store_write_faults_fail_the_flush_and_write_nothing() {
+    let dir = temp_dir("write-permanent");
+    // Three injected failures per write exhaust the store's three attempts:
+    // the flush reports the injected error and leaves the store untouched.
+    let plan = FaultPlan {
+        seed: 7,
+        store_write_transient: 3,
+        ..FaultPlan::default()
+    };
+    let cache =
+        SolveCache::with_faults(Some(&dir), DEFAULT_CACHE_SHARDS, plan).expect("store opens");
+    let batch = analyze_suite(&jobs(), &cache, None, None);
+    assert_eq!(batch.summary.failures, 0);
+    let err = cache
+        .flush_store()
+        .expect_err("every write attempt is injected to fail");
+    assert!(err.to_string().contains("injected"), "{err}");
+    let store = SolveStore::open_existing(&dir).expect("store opens");
+    assert!(store.segment_files().expect("segments listed").is_empty());
+    assert!(store.report_files().expect("reports listed").is_empty());
+    assert!(staging_files(&dir).is_empty());
     let _ = std::fs::remove_dir_all(&dir);
 }

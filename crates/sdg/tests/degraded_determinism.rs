@@ -4,11 +4,14 @@
 //! and (b) *sound*: the degraded bound never exceeds the full bound, because
 //! an affected array defers its contribution (counts as zero) rather than
 //! keeping a too-small candidate set for the Theorem-1 maximum.
+//!
+//! Each plan travels inside the cache it was built into, so faulted and
+//! fault-free analyses may run side by side in one process.
 
 use soap_kernels::registry;
 use soap_sdg::{
-    analyze_suite, override_plan, set_worker_budget, FaultPlan, SdgOptions, SolveCache,
-    SuiteProgram,
+    analyze_suite, set_worker_budget, BatchAnalysis, FaultPlan, SdgOptions, SolveCache,
+    SuiteProgram, DEFAULT_CACHE_SHARDS,
 };
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -19,6 +22,11 @@ fn with_budget<R>(n: usize, f: impl FnOnce() -> R) -> R {
     let result = f();
     set_worker_budget(prev);
     result
+}
+
+/// An in-memory cache with `shards` lock stripes under `plan`.
+fn faulted(shards: usize, plan: FaultPlan) -> SolveCache {
+    SolveCache::with_faults(None, shards, plan).expect("in-memory cache opens")
 }
 
 /// The Table-2 analysis options of every registry entry.
@@ -96,14 +104,8 @@ fn plan_tripped_degraded_output_is_identical_across_budgets_and_shards() {
         cancel_at_level: Some(3),
         ..FaultPlan::default()
     };
-    // The override guard also serializes this test against the chaos suite's
-    // plan injection when the two binaries share a process (they don't — but
-    // the in-file worker-budget mutation below still wants one test at a
-    // time, which #[test] isolation per binary provides).
-    let guard = override_plan(Some(plan));
-
     let baseline: Vec<String> = with_budget(1, || {
-        let batch = analyze_suite(&jobs, &SolveCache::with_shards(1), None, None);
+        let batch = analyze_suite(&jobs, &faulted(1, plan), None, None);
         assert_eq!(batch.summary.failures, 0, "degraded is not failed");
         assert!(
             batch.summary.degraded > 0,
@@ -123,7 +125,7 @@ fn plan_tripped_degraded_output_is_identical_across_budgets_and_shards() {
     for budget in [1usize, 4] {
         for shards in [1usize, 16] {
             let batch = with_budget(budget, || {
-                analyze_suite(&jobs, &SolveCache::with_shards(shards), None, None)
+                analyze_suite(&jobs, &faulted(shards, plan), None, None)
             });
             assert_eq!(batch.summary.failures, 0, "budget={budget} shards={shards}");
             for (expected, report) in baseline.iter().zip(&batch.reports) {
@@ -136,14 +138,12 @@ fn plan_tripped_degraded_output_is_identical_across_budgets_and_shards() {
             }
         }
     }
-    drop(guard);
 }
 
 #[test]
 fn degraded_bounds_never_exceed_the_full_bounds() {
     let jobs = jobs();
     let full: Vec<f64> = {
-        let _guard = override_plan(None);
         let batch = analyze_suite(&jobs, &SolveCache::new(), None, None);
         assert_eq!(batch.summary.failures, 0);
         batch
@@ -157,12 +157,12 @@ fn degraded_bounds_never_exceed_the_full_bounds() {
     // Several trip points, from "cancel almost everything" to "cancel the
     // tail": soundness must hold at every one, on every kernel.
     for cancel_at in [0u64, 1, 2, 5] {
-        let _guard = override_plan(Some(FaultPlan {
+        let plan = FaultPlan {
             seed: 42,
             cancel_at_subgraph: Some(cancel_at),
             ..FaultPlan::default()
-        }));
-        let batch = analyze_suite(&jobs, &SolveCache::new(), None, None);
+        };
+        let batch = analyze_suite(&jobs, &faulted(DEFAULT_CACHE_SHARDS, plan), None, None);
         assert_eq!(batch.summary.failures, 0, "cancel_at={cancel_at}");
         for ((report, job), full_bound) in batch.reports.iter().zip(&jobs).zip(&full) {
             let analysis = report.outcome.as_ref().expect("analysis succeeds");
@@ -175,4 +175,47 @@ fn degraded_bounds_never_exceed_the_full_bounds() {
             );
         }
     }
+}
+
+/// Every program's dump, in suite order.
+fn dumps(batch: &BatchAnalysis) -> Vec<String> {
+    batch
+        .reports
+        .iter()
+        .map(|r| dump(r.outcome.as_ref().expect("analysis succeeds")))
+        .collect()
+}
+
+#[test]
+fn faulted_and_fault_free_suites_share_one_process() {
+    let jobs = jobs();
+    let serial = dumps(&analyze_suite(&jobs, &SolveCache::new(), None, None));
+
+    // A plan that cancels every subgraph runs concurrently with a fault-free
+    // suite: it must degrade its own run and leave the other untouched.
+    let cancel_all = FaultPlan {
+        seed: 42,
+        cancel_at_subgraph: Some(0),
+        ..FaultPlan::default()
+    };
+    let (faulted_run, clean_run) = std::thread::scope(|scope| {
+        let faulted_run = scope.spawn(|| {
+            analyze_suite(
+                &jobs,
+                &faulted(DEFAULT_CACHE_SHARDS, cancel_all),
+                None,
+                None,
+            )
+        });
+        let clean_run = scope.spawn(|| analyze_suite(&jobs, &SolveCache::new(), None, None));
+        (
+            faulted_run.join().expect("faulted suite thread"),
+            clean_run.join().expect("fault-free suite thread"),
+        )
+    });
+    assert_eq!(faulted_run.summary.failures, 0);
+    assert_eq!(faulted_run.summary.degraded, jobs.len());
+    assert_eq!(clean_run.summary.failures, 0);
+    assert_eq!(clean_run.summary.degraded, 0);
+    assert_eq!(serial, dumps(&clean_run));
 }

@@ -3,8 +3,12 @@
 //! reference, on every topology class the analysis meets.
 
 use soap_ir::{Program, ProgramBuilder};
-use soap_sdg::subgraphs::{enumerate_connected_subgraphs, enumerate_connected_subgraphs_naive};
+use soap_sdg::subgraphs::enumerate_connected_subgraphs;
 use soap_sdg::Sdg;
+
+#[path = "common/naive.rs"]
+mod naive;
+use naive::enumerate_connected_subgraphs_naive;
 
 /// Deterministic xorshift64* generator so the "random" SDGs are reproducible.
 struct XorShift(u64);

@@ -10,10 +10,14 @@
 //! self-scheduled workers interleave maximally.
 
 use soap_ir::{Program, ProgramBuilder};
-use soap_sdg::subgraphs::{enumerate_connected_subgraphs, enumerate_connected_subgraphs_naive};
+use soap_sdg::subgraphs::enumerate_connected_subgraphs;
 use soap_sdg::{analyze_suite, set_worker_budget, Sdg, SdgOptions, SolveCache, SuiteProgram};
 use std::fmt::Write as _;
 use std::sync::Mutex;
+
+#[path = "common/naive.rs"]
+mod naive;
+use naive::enumerate_connected_subgraphs_naive;
 
 /// Serializes the tests that mutate the process-wide worker budget (tests of
 /// one binary run on concurrent threads).

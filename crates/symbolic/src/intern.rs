@@ -34,6 +34,7 @@ struct Interner {
 }
 
 fn interner() -> &'static RwLock<Interner> {
+    // lint:allow(global-state): symbols are &'static names shared by every expression of the process; the table only grows
     static INTERNER: OnceLock<RwLock<Interner>> = OnceLock::new();
     INTERNER.get_or_init(|| {
         RwLock::new(Interner {
