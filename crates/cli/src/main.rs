@@ -58,7 +58,7 @@ fn usage() -> ! {
          store at DIR (created on first use): structures solved by earlier runs are\n                  \
          reused without re-solving — byte-identical results, warm wall clock — and\n                  \
          new solves are persisted for later runs.  `soap-cli cache stat DIR` inspects\n                  \
-         a store, `list` shows its segment files, `clear` empties it.\n\
+         a store read-only, `list` shows its segment files, `clear` empties it.\n\
          \n\
          --threads N      worker threads for the parallel analysis front half (positive\n                  \
          integer, clamped to 512; default: SOAP_THREADS or the hardware core\n                  \
@@ -687,8 +687,8 @@ fn cache_cmd(args: &[String]) -> ExitCode {
     };
     let outcome = match action.as_str() {
         "stat" => store.stat().and_then(|stats| {
-            // Quarantined segments from *earlier* loads still sit in the
-            // directory (until `clear`); count them alongside this pass's.
+            // `stat` only reads: the quarantined segments it counts were
+            // set aside by earlier hydrations and sit there until `clear`.
             let quarantined_on_disk = store.quarantined_files().map(|f| f.len()).unwrap_or(0);
             println!("store {dir}");
             println!("  format            {}", soap_sdg::STORE_HEADER);

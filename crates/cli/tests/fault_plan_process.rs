@@ -1,7 +1,10 @@
-//! `SOAP_FAULT_PLAN` at the `soap-cli` process boundary.  Only the analysis
-//! subcommands (`kernel`, `analyze`, `batch`) read the plan: a stray plan in
-//! the environment of an inspection command must not touch a store, and a
-//! malformed plan must say so on stderr instead of silently running clean.
+//! `SOAP_FAULT_PLAN` and store repair at the `soap-cli` process boundary.
+//! Only the analysis subcommands (`kernel`, `analyze`, `batch`) read the
+//! plan: a stray plan in the environment of an inspection command must not
+//! touch a store, and a malformed plan must say so on stderr instead of
+//! silently running clean.  Likewise only analysis hydration repairs a
+//! genuinely corrupt store: `cache stat` reports the corruption and writes
+//! nothing.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -77,6 +80,50 @@ fn a_stray_plan_cannot_touch_a_store_through_cache_stat() {
         after.keys().collect::<Vec<_>>()
     );
     assert_eq!(before, after, "cache stat changed the store");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cache_stat_reports_a_corrupt_segment_without_repairing_it() {
+    let dir = temp_dir("corrupt");
+    let store = dir.join("store");
+    let store_arg = store.to_str().unwrap();
+    let seeded = soap_cli(&["batch", "gemm", "--cache-dir", store_arg], None);
+    assert!(seeded.status.success(), "{seeded:?}");
+
+    // Flip one digest byte of the first record of the solve segment.
+    let fresh = snapshot(&store);
+    let (seg, bytes) = fresh
+        .iter()
+        .find(|(name, _)| name.starts_with("seg-"))
+        .expect("a solve segment");
+    let mut bytes = bytes.clone();
+    let digest = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+    bytes[digest] = if bytes[digest] == b'0' { b'1' } else { b'0' };
+    std::fs::write(store.join(seg), &bytes).unwrap();
+    let before = snapshot(&store);
+
+    let stat = soap_cli(&["cache", "stat", store_arg], None);
+    assert!(stat.status.success(), "{stat:?}");
+    let stdout = String::from_utf8_lossy(&stat.stdout);
+    let skipped: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.trim_start().starts_with("records skipped"))
+        .collect();
+    // Solve records first, then report records.
+    assert_eq!(skipped.len(), 2, "{stdout}");
+    assert!(skipped[0].ends_with(" 1"), "{stdout}");
+    assert!(skipped[1].ends_with(" 0"), "{stdout}");
+    assert!(stdout.contains("left in place"), "{stdout}");
+    assert_eq!(before, snapshot(&store), "cache stat changed the store");
+
+    // Hydration for an analysis still salvages and quarantines the segment.
+    let batch = soap_cli(&["batch", "gemm", "--cache-dir", store_arg], None);
+    assert!(batch.status.success(), "{batch:?}");
+    let after = snapshot(&store);
+    let quarantined = format!("{seg}.quarantined");
+    assert!(after.contains_key(&quarantined), "{:?}", after.keys());
+    assert!(!after.contains_key(seg), "{:?}", after.keys());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -33,6 +33,7 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(v: &T) -> Result<String, DeError>
 /// Parse JSON text into any deserializable type.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, DeError> {
     let mut p = Parser {
+        text: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
@@ -150,6 +151,8 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    /// The input, for slicing string runs without re-validating UTF-8.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -265,13 +268,27 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash as one slice.
+            // Both delimiters are ASCII, and a run starts right after an
+            // ASCII byte, so both cuts land on char boundaries of `text`:
+            // the slice never fails and the input is never re-validated.
+            let start = self.pos;
+            while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
+                self.pos += 1;
+            }
+            out.push_str(
+                self.text
+                    .get(start..self.pos)
+                    .ok_or_else(|| DeError::msg("invalid UTF-8"))?,
+            );
             match self.peek() {
                 None => return Err(DeError::msg("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
+                    // A backslash: one escape sequence.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -299,15 +316,6 @@ impl<'a> Parser<'a> {
                         _ => return Err(DeError::msg("bad escape")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| DeError::msg("invalid UTF-8"))?;
-                    // lint:allow(unwrap-expect): the peek above guarantees the remainder is non-empty
-                    let c = rest.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -398,5 +406,144 @@ mod tests {
     fn integral_floats_keep_a_decimal_point() {
         assert_eq!(to_string(&2.0f64).unwrap(), "2.0");
         assert_eq!(to_string(&2.5f64).unwrap(), "2.5");
+    }
+
+    fn round_trip(s: &str) -> String {
+        let text = to_string(&s).unwrap();
+        match from_str::<Value>(&text).unwrap() {
+            Value::Str(back) => back,
+            other => panic!("{text} parsed as {other:?}"),
+        }
+    }
+
+    #[test]
+    fn multibyte_strings_round_trip() {
+        // 2-byte (é, ρ, σ, χ), 3-byte (€, U+2028) and 4-byte (emoji) UTF-8,
+        // next to escapes and at both ends of the string.
+        for s in [
+            "é",
+            "ρσχ",
+            "ρ(S)=σ·χ",
+            "€\u{2028}",
+            "\u{1F600}",
+            "a\u{1F600}b",
+            "\"ρ\"",
+            "σ\\χ",
+            "é\n",
+            "\té",
+            "",
+        ] {
+            assert_eq!(round_trip(s), s, "{s:?}");
+        }
+    }
+
+    #[test]
+    fn every_escape_parses() {
+        let text = r#""\"\\\/\b\f\n\r\t\u00e9\u03c1\ud83d""#;
+        let back: Value = from_str(text).unwrap();
+        // A lone surrogate escape has no char: it becomes U+FFFD.
+        assert_eq!(
+            back,
+            Value::Str("\"\\/\u{8}\u{c}\n\r\té\u{3c1}\u{fffd}".to_string())
+        );
+    }
+
+    #[test]
+    fn control_characters_round_trip() {
+        let all: String = (0u8..0x20).map(char::from).chain(['\u{7f}']).collect();
+        assert_eq!(round_trip(&all), all);
+        // The writer escapes them; the parser also accepts them raw.
+        let raw: Value = from_str("\"a\tb\u{1}c\nρ\"").unwrap();
+        assert_eq!(raw, Value::Str("a\tb\u{1}c\nρ".to_string()));
+    }
+
+    #[test]
+    fn malformed_strings_are_errors() {
+        for text in [
+            "\"abc",
+            "\"ρσ",
+            "\"ab\\",
+            "\"ab\\\"",
+            "\"\\u12",
+            "\"\\u12\"",
+            "\"\\u12zz\"",
+            "\"\\uρρ\"",
+            "\"\\x\"",
+            "[\"a\", \"b]",
+            "{\"k\": \"v}",
+        ] {
+            assert!(from_str::<Value>(text).is_err(), "{text:?} parsed");
+        }
+    }
+
+    /// xorshift64*: a tiny seeded generator for the property test.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn string(&mut self) -> String {
+            const POOL: [char; 16] = [
+                'a',
+                'Z',
+                '0',
+                ' ',
+                '"',
+                '\\',
+                '/',
+                '\n',
+                '\u{1}',
+                '\u{1f}',
+                'é',
+                'ρ',
+                'σ',
+                'χ',
+                '\u{2028}',
+                '\u{1F600}',
+            ];
+            let len = self.below(12);
+            (0..len).map(|_| POOL[self.below(16) as usize]).collect()
+        }
+
+        fn value(&mut self, depth: u32) -> Value {
+            let kinds = if depth == 0 { 5 } else { 7 };
+            match self.below(kinds) {
+                0 => Value::Null,
+                1 => Value::Bool(self.below(2) == 1),
+                2 => Value::Int(self.next() as i64 as i128 * (1 + self.below(1 << 20) as i128)),
+                // Finite and below 1e15 in magnitude: an integral float of
+                // 1e15 or more prints without a decimal point and so reads
+                // back as an integer, as in serde_json.
+                3 => Value::Float((self.below(1 << 40) as f64 - (1u64 << 39) as f64) / 64.0),
+                4 => Value::Str(self.string()),
+                5 => Value::Array((0..self.below(4)).map(|_| self.value(depth - 1)).collect()),
+                _ => Value::Object(
+                    (0..self.below(4))
+                        .map(|_| (self.string(), self.value(depth - 1)))
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn random_value_trees_round_trip() {
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        for _ in 0..2000 {
+            let v = rng.value(3);
+            for text in [to_string(&v).unwrap(), to_string_pretty(&v).unwrap()] {
+                let back: Value = from_str(&text).unwrap();
+                assert_eq!(back, v, "{text}");
+            }
+        }
     }
 }

@@ -645,13 +645,8 @@ impl SolveCache {
                 .expect("cache poisoned")
                 .insert(key, cell);
         }
-        let (report_entries, report_load_stats) = store.load_reports()?;
-        let mut reports = HashMap::with_capacity(report_entries.len());
-        let mut persisted_reports = std::collections::HashSet::with_capacity(report_entries.len());
-        for (key, report) in report_entries {
-            persisted_reports.insert(key);
-            reports.insert(key, Arc::new(report));
-        }
+        let (reports, report_load_stats) = store.load_reports()?;
+        let persisted_reports = reports.keys().copied().collect();
         cache.store = Some(StoreLayer {
             store,
             load_stats,

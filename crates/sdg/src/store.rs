@@ -42,6 +42,19 @@
 //! that failed to solve fails identically in every process, and persisting
 //! the failure is what lets a warm run report zero misses.
 //!
+//! ## Hydration and inspection
+//!
+//! Opening a cache over a store ([`SolveCache::with_store`](crate::SolveCache::with_store))
+//! reads each segment once and digest-checks and decodes its record lines
+//! in parallel on the worker pool, under the process's worker budget
+//! (`SOAP_THREADS` / `--threads`).  Decoding is a pure function of the
+//! line and the pool keeps line order, so the merge, the counts and the
+//! notes are the same under any budget.  Only hydration repairs: a segment
+//! with corrupt records has its good records salvaged into a fresh segment
+//! and is then renamed `*.quarantined`.  The inspection passes
+//! [`SolveStore::stat`] and [`SolveStore::report_stat`] (`soap-cli cache
+//! stat`) count and note the same corruption but write and rename nothing.
+//!
 //! ## Report records (`soap-report-store/1`)
 //!
 //! The same directory can additionally hold a second record family: finished
@@ -62,13 +75,16 @@ use crate::cache::{
     CanonicalAtom, CanonicalDominator, CanonicalKey, CanonicalRow, CanonicalSolution,
 };
 use crate::faults::FaultPlan;
+use rayon::prelude::*;
 use serde::{DeError, Deserialize, Serialize, Value};
 use soap_core::{AnalysisError, IntensityResult};
-use soap_symbolic::{Expr, Polynomial, Rational};
+use soap_symbolic::{Expr, Monomial, Polynomial, Rational};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// The format-version header every solve segment of the current format
 /// starts with.
@@ -103,6 +119,17 @@ const REPORT_FAMILY: Family = Family {
     header: REPORT_HEADER,
     stem: "soap-report-store/",
 };
+
+/// What a load may do about a segment with corrupt records.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Repair {
+    /// Hydration: salvage the good records into a fresh segment, then
+    /// quarantine the corrupt file.
+    Salvage,
+    /// Inspection (`cache stat`): count and note the corruption, but write
+    /// and rename nothing.
+    ReadOnly,
+}
 
 /// Suffix appended to a segment's file name when it is quarantined.
 const QUARANTINE_SUFFIX: &str = ".quarantined";
@@ -166,6 +193,9 @@ fn corrupt_first_record(text: &str) -> String {
 /// One persisted entry: the canonical key and the stored solve outcome.
 pub(crate) type StoreEntry = (CanonicalKey, Result<CanonicalSolution, AnalysisError>);
 
+/// Every hydrated solve outcome, by canonical key.
+pub(crate) type StoredSolutions = HashMap<CanonicalKey, Result<CanonicalSolution, AnalysisError>>;
+
 /// The persisted portion of a finished, non-degraded
 /// [`ProgramAnalysis`](crate::ProgramAnalysis): everything that is a pure
 /// function of the structural program key.  The program *name*, phase
@@ -187,6 +217,12 @@ pub(crate) struct StoredReport {
 /// One persisted report entry: the structural program key and the report.
 pub(crate) type ReportEntry = (u64, StoredReport);
 
+/// [`report_record_from_payload`] with the report already shared, as the cache
+/// holds it.
+fn shared_report_record(payload: &Value) -> Option<(u64, Arc<StoredReport>)> {
+    report_record_from_payload(payload).map(|(key, report)| (key, Arc::new(report)))
+}
+
 /// Accounting of one store load (hydration at
 /// [`SolveCache::with_store`](crate::SolveCache::with_store) open, or a
 /// [`SolveStore::stat`] inspection pass).
@@ -204,7 +240,8 @@ pub struct StoreLoadStats {
     /// Segments quarantined by this load: a segment with skipped records is
     /// renamed to `<name>.quarantined` after its good records are merged, so
     /// the corruption is reported once and then set aside for inspection
-    /// instead of re-parsed and re-warned on every later hydration.
+    /// instead of re-parsed and re-warned on every later hydration.  Always
+    /// 0 for the read-only [`SolveStore::stat`] passes.
     pub quarantined: usize,
     /// Distinct keys after the last-writer-wins merge.
     pub entries: usize,
@@ -307,14 +344,22 @@ impl SolveStore {
     }
 
     /// Load every segment of one family, decoding records with `decode` and
-    /// applying the retry / fault-injection / header-check / salvage +
-    /// quarantine discipline shared by both record families.  Decoded records
-    /// are returned in segment order (the caller merges last-writer-wins);
+    /// applying the retry / fault-injection / header-check discipline shared
+    /// by both record families; under [`Repair::Salvage`] a segment with
+    /// corrupt records is also salvaged and quarantined.  Decoded records are
+    /// returned in segment order (the caller merges last-writer-wins);
     /// `stats.entries` is left for the caller to fill after its merge.
-    fn load_family<T>(
+    ///
+    /// Each record line is digest-checked, parsed and decoded on the worker
+    /// pool: that is a pure function of the line, and the pool's collect
+    /// keeps line order, so the records, counts and notes do not depend on
+    /// the worker budget.  Everything that touches the file system stays
+    /// serial, one segment at a time.
+    fn load_family<T: Send>(
         &self,
         family: &Family,
-        decode: impl Fn(&str) -> Option<T>,
+        decode: impl Fn(&Value) -> Option<T> + Sync,
+        repair: Repair,
     ) -> io::Result<(Vec<T>, StoreLoadStats)> {
         let mut stats = StoreLoadStats::default();
         let mut decoded: Vec<T> = Vec::new();
@@ -359,96 +404,115 @@ impl SolveStore {
                 }
             }
             stats.segments += 1;
-            let mut skipped_here = 0usize;
-            let mut good_lines: Vec<String> = Vec::new();
-            for line in lines {
-                if line.is_empty() {
-                    continue;
-                }
-                match decode(line) {
+            let lines: Vec<&str> = lines.filter(|line| !line.is_empty()).collect();
+            let records: Vec<Option<T>> = lines
+                .par_iter()
+                .map(|line| decode(&checked_payload(line)?))
+                .collect();
+            // Indices of the lines that failed, ascending.
+            let mut skipped: Vec<usize> = Vec::new();
+            for (i, record) in records.into_iter().enumerate() {
+                match record {
                     Some(record) => {
                         stats.records += 1;
                         decoded.push(record);
-                        good_lines.push(line.to_string());
                     }
-                    None => skipped_here += 1,
+                    None => skipped.push(i),
                 }
             }
-            if skipped_here > 0 {
-                stats.records_skipped += skipped_here;
-                let mut note = format!(
-                    "segment {name}: {skipped_here} corrupt/truncated record(s) skipped (integrity check or parse failure)"
-                );
-                // Salvage the surviving records into a fresh segment, then
-                // quarantine the corrupt file — rename it out of the segment
-                // namespace so the corruption is diagnosed once (and surfaced
-                // by `cache stat`) instead of re-warned forever.  Quarantine
-                // only happens once the good records are durable again (or
-                // there were none), so it never costs store entries; a failed
-                // salvage or rename is only noted — both are hygiene, not a
-                // load precondition.
-                let salvaged = if good_lines.is_empty() {
-                    Ok(())
-                } else {
-                    self.write_segment(family, good_lines).map(|_| ())
-                };
-                match salvaged {
-                    Ok(()) => {
-                        let mut quarantined_name = name.clone();
-                        quarantined_name.push_str(QUARANTINE_SUFFIX);
-                        match std::fs::rename(&path, path.with_file_name(&quarantined_name)) {
-                            Ok(()) => {
-                                stats.quarantined += 1;
-                                note.push_str("; segment quarantined");
-                            }
-                            Err(e) => note.push_str(&format!("; quarantine rename failed: {e}")),
-                        }
-                    }
-                    Err(e) => {
-                        note.push_str(&format!("; salvage failed ({e}); segment left in place"))
-                    }
-                }
+            if skipped.is_empty() {
+                continue;
+            }
+            stats.records_skipped += skipped.len();
+            let mut note = format!(
+                "segment {name}: {} corrupt/truncated record(s) skipped (integrity check or parse failure)",
+                skipped.len()
+            );
+            if repair == Repair::ReadOnly {
+                note.push_str("; segment left in place (read-only inspection)");
                 stats.notes.push(note);
+                continue;
             }
+            // Salvage the surviving records into a fresh segment, then
+            // quarantine the corrupt file — rename it out of the segment
+            // namespace so the corruption is diagnosed once (and surfaced by
+            // `cache stat`) instead of re-warned forever.  Quarantine only
+            // happens once the good records are durable again (or there were
+            // none), so it never costs store entries; a failed salvage or
+            // rename is only noted — both are hygiene, not a load
+            // precondition.
+            let good_lines: Vec<String> = lines
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| skipped.binary_search(i).is_err())
+                .map(|(_, line)| line.to_string())
+                .collect();
+            let salvaged = if good_lines.is_empty() {
+                Ok(())
+            } else {
+                self.write_segment(family, good_lines).map(|_| ())
+            };
+            match salvaged {
+                Ok(()) => {
+                    let mut quarantined_name = name.clone();
+                    quarantined_name.push_str(QUARANTINE_SUFFIX);
+                    match std::fs::rename(&path, path.with_file_name(&quarantined_name)) {
+                        Ok(()) => {
+                            stats.quarantined += 1;
+                            note.push_str("; segment quarantined");
+                        }
+                        Err(e) => note.push_str(&format!("; quarantine rename failed: {e}")),
+                    }
+                }
+                Err(e) => note.push_str(&format!("; salvage failed ({e}); segment left in place")),
+            }
+            stats.notes.push(note);
         }
         Ok((decoded, stats))
     }
 
-    /// Load every solve segment, folding records with the last-writer-wins
-    /// merge.
-    pub(crate) fn load(&self) -> io::Result<(Vec<StoreEntry>, StoreLoadStats)> {
-        let (records, mut stats) = self.load_family(&SOLVE_FAMILY, decode_record)?;
-        let mut merged: HashMap<CanonicalKey, Result<CanonicalSolution, AnalysisError>> =
-            HashMap::new();
-        for (key, sol) in records {
-            merged.insert(key, sol);
-        }
+    /// Load every segment of one family and fold its records with the
+    /// last-writer-wins merge (later records overwrite earlier ones per key).
+    fn load_merged<K: Eq + Hash + Send, V: Send>(
+        &self,
+        family: &Family,
+        decode: impl Fn(&Value) -> Option<(K, V)> + Sync,
+        repair: Repair,
+    ) -> io::Result<(HashMap<K, V>, StoreLoadStats)> {
+        let (records, mut stats) = self.load_family(family, decode, repair)?;
+        let mut merged = HashMap::with_capacity(records.len());
+        merged.extend(records);
         stats.entries = merged.len();
-        Ok((merged.into_iter().collect(), stats))
+        Ok((merged, stats))
     }
 
-    /// Load every report segment, folding records with the last-writer-wins
-    /// merge.
-    pub(crate) fn load_reports(&self) -> io::Result<(Vec<ReportEntry>, StoreLoadStats)> {
-        let (records, mut stats) = self.load_family(&REPORT_FAMILY, decode_report_record)?;
-        let mut merged: HashMap<u64, StoredReport> = HashMap::new();
-        for (key, report) in records {
-            merged.insert(key, report);
-        }
-        stats.entries = merged.len();
-        Ok((merged.into_iter().collect(), stats))
+    /// Hydrate every solve record (salvaging and quarantining corrupt
+    /// segments), merged last-writer-wins.
+    pub(crate) fn load(&self) -> io::Result<(StoredSolutions, StoreLoadStats)> {
+        self.load_merged(&SOLVE_FAMILY, solve_record_from_payload, Repair::Salvage)
+    }
+
+    /// Hydrate every report record (salvaging and quarantining corrupt
+    /// segments), merged last-writer-wins.
+    pub(crate) fn load_reports(
+        &self,
+    ) -> io::Result<(HashMap<u64, Arc<StoredReport>>, StoreLoadStats)> {
+        self.load_merged(&REPORT_FAMILY, shared_report_record, Repair::Salvage)
     }
 
     /// Load-time accounting of the solve records without keeping the entries
-    /// (for `cache stat`).
+    /// (for `cache stat`).  Read-only: corrupt records are counted and noted,
+    /// but no file is written or renamed.
     pub fn stat(&self) -> io::Result<StoreLoadStats> {
-        self.load().map(|(_, stats)| stats)
+        self.load_merged(&SOLVE_FAMILY, solve_record_from_payload, Repair::ReadOnly)
+            .map(|(_, stats)| stats)
     }
 
     /// Load-time accounting of the report records without keeping the
-    /// entries (for `cache stat`).
+    /// entries (for `cache stat`).  Read-only, like [`SolveStore::stat`].
     pub fn report_stat(&self) -> io::Result<StoreLoadStats> {
-        self.load_reports().map(|(_, stats)| stats)
+        self.load_merged(&REPORT_FAMILY, shared_report_record, Repair::ReadOnly)
+            .map(|(_, stats)| stats)
     }
 
     /// Solve segments quarantined by earlier loads
@@ -612,14 +676,19 @@ pub(crate) fn encode_record(
     format!("{:016x} {json}", fnv1a64(json.as_bytes()))
 }
 
-/// Decode one record line; `None` on any integrity or shape failure.
-pub(crate) fn decode_record(line: &str) -> Option<StoreEntry> {
+/// The JSON payload of one record line of either family; `None` when the
+/// line fails its digest check or does not parse.
+fn checked_payload(line: &str) -> Option<Value> {
     let (digest, json) = line.split_once(' ')?;
     let expected = u64::from_str_radix(digest, 16).ok()?;
     if digest.len() != 16 || fnv1a64(json.as_bytes()) != expected {
         return None;
     }
-    let payload: Value = serde_json::from_str(json).ok()?;
+    serde_json::from_str(json).ok()
+}
+
+/// Decode a solve record's payload; `None` on any shape failure.
+fn solve_record_from_payload(payload: &Value) -> Option<StoreEntry> {
     let key = key_from_value(payload.get("key")?).ok()?;
     let sol = solution_from_value(payload.get("sol")?).ok()?;
     Some((key, sol))
@@ -919,14 +988,8 @@ pub(crate) fn encode_report_record(key: u64, report: &StoredReport) -> String {
     format!("{:016x} {json}", fnv1a64(json.as_bytes()))
 }
 
-/// Decode one report-record line; `None` on any integrity or shape failure.
-pub(crate) fn decode_report_record(line: &str) -> Option<ReportEntry> {
-    let (digest, json) = line.split_once(' ')?;
-    let expected = u64::from_str_radix(digest, 16).ok()?;
-    if digest.len() != 16 || fnv1a64(json.as_bytes()) != expected {
-        return None;
-    }
-    let payload: Value = serde_json::from_str(json).ok()?;
+/// Decode a report record's payload; `None` on any shape failure.
+fn report_record_from_payload(payload: &Value) -> Option<ReportEntry> {
     let key = payload
         .get("key")?
         .as_i128()
@@ -957,34 +1020,39 @@ fn poly_to_value(p: &Polynomial) -> Value {
 }
 
 fn poly_from_value(v: &Value) -> Result<Polynomial, DeError> {
-    let mut acc = Polynomial::zero();
-    for term in v
+    let terms = v
         .as_array()
         .ok_or_else(|| DeError::msg("poly: expected array of terms"))?
-    {
-        let [vars, coeff] = term
-            .as_array()
-            .and_then(|a| <&[Value; 2]>::try_from(a).ok())
-            .ok_or_else(|| DeError::msg("poly: term shape"))?;
-        let mut mono = Polynomial::constant(rational_from_value(coeff)?);
-        for pair in vars
-            .as_array()
-            .ok_or_else(|| DeError::msg("poly: vars not an array"))?
-        {
-            let [name, pow] = pair
+        .iter()
+        .map(|term| {
+            let [vars, coeff] = term
                 .as_array()
                 .and_then(|a| <&[Value; 2]>::try_from(a).ok())
-                .ok_or_else(|| DeError::msg("poly: var shape"))?;
-            let name = String::from_value(name)?;
-            let pow = pow
-                .as_i128()
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| DeError::msg("poly: bad exponent"))?;
-            mono = mono.mul(&Polynomial::var(&name).pow(pow));
-        }
-        acc = acc.add(&mono);
-    }
-    Ok(acc)
+                .ok_or_else(|| DeError::msg("poly: term shape"))?;
+            let mut mono = Monomial::unit();
+            for pair in vars
+                .as_array()
+                .ok_or_else(|| DeError::msg("poly: vars not an array"))?
+            {
+                let [name, pow] = pair
+                    .as_array()
+                    .and_then(|a| <&[Value; 2]>::try_from(a).ok())
+                    .ok_or_else(|| DeError::msg("poly: var shape"))?;
+                let name = String::from_value(name)?;
+                let pow = pow
+                    .as_i128()
+                    .and_then(|n| u32::try_from(n).ok())
+                    .ok_or_else(|| DeError::msg("poly: bad exponent"))?;
+                // `x^0` is the constant 1, and a repeated variable multiplies
+                // out: the monomial `Polynomial::var(x).pow(e)` products give.
+                if pow > 0 {
+                    *mono.0.entry(name).or_insert(0) += pow;
+                }
+            }
+            Ok((mono, rational_from_value(coeff)?))
+        })
+        .collect::<Result<Vec<_>, DeError>>()?;
+    Ok(Polynomial::from_terms(terms))
 }
 
 fn intensity_to_value(r: &IntensityResult) -> Value {
@@ -1146,6 +1214,14 @@ mod tests {
     use super::*;
     use crate::cache::canonicalize;
     use soap_core::AccessModel;
+
+    fn decode_record(line: &str) -> Option<StoreEntry> {
+        solve_record_from_payload(&checked_payload(line)?)
+    }
+
+    fn decode_report_record(line: &str) -> Option<ReportEntry> {
+        report_record_from_payload(&checked_payload(line)?)
+    }
 
     fn sample_key(max_form: bool) -> CanonicalKey {
         let dv = |v: &str| Expr::sym(v);
@@ -1336,7 +1412,7 @@ mod tests {
         assert_eq!((report_stats.segments, report_stats.entries), (1, 1));
         let (entries, _) = store.load_reports().unwrap();
         assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].0, 7);
+        assert!(entries.contains_key(&7));
         // clear() removes both families.
         assert_eq!(store.clear().unwrap(), 2);
         assert!(store.report_files().unwrap().is_empty());

@@ -6,7 +6,12 @@
 //! answers.
 
 use soap_kernels::registry;
-use soap_sdg::{analyze_suite, SdgOptions, SolveCache, SolveStore, SuiteProgram, STORE_HEADER};
+use soap_sdg::{
+    analyze_suite, set_worker_budget, ProgramAnalysis, SdgOptions, SolveCache, SolveStore,
+    StoreLoadStats, SuiteProgram, STORE_HEADER,
+};
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -347,4 +352,155 @@ fn two_caches_flushing_into_one_directory_converge() {
     assert_eq!(both.summary.cache.misses, 0, "{:?}", both.summary.cache);
     assert_eq!(both.summary.cache.store_hits, both.summary.cache.hits);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every file in `dir`, name → bytes.
+fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let path = e.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect()
+}
+
+/// Bit-exact dump of one analysis, without the run's timings and cache
+/// accounting.
+fn dump(a: &ProgramAnalysis) -> String {
+    let mut out = format!(
+        "program {} bound {} degraded {}\n",
+        a.name, a.bound, a.degraded
+    );
+    for b in &a.per_array {
+        let _ = writeln!(
+            out,
+            "array {} |A|={} rho={} sigma={:?} via={:?} bound={}",
+            b.array, b.vertex_count, b.rho, b.sigma, b.best_subgraph, b.bound
+        );
+    }
+    for s in &a.subgraphs {
+        let i = &s.intensity;
+        let _ = writeln!(
+            out,
+            "subgraph {:?} sigma={:?} chi={:016x} rho={} x0={:?} rho_ref={:016x}",
+            s.arrays,
+            i.sigma,
+            i.chi_coeff.to_bits(),
+            i.rho,
+            i.x0.as_ref().map(|e| e.to_string()),
+            s.rho_ref.to_bits()
+        );
+        for ((name, e), (_, c)) in i.tile_exponents.iter().zip(&i.tile_coeffs) {
+            let _ = writeln!(out, "  tile {name} exp={e:?} coeff={:016x}", c.to_bits());
+        }
+    }
+    for n in &a.notes {
+        let _ = writeln!(out, "note {n}");
+    }
+    out
+}
+
+#[test]
+fn hydration_is_identical_under_every_worker_budget() {
+    let pristine = temp_dir("budget-pristine");
+    let jobs = registry_jobs();
+    let cold_cache = SolveCache::with_store(&pristine).expect("store opens");
+    let cold = analyze_suite(&jobs, &cold_cache, None, None);
+    assert_eq!(cold.summary.failures, 0);
+    cold_cache.flush_store().expect("flush succeeds");
+    drop(cold_cache);
+    let cold: Vec<String> = cold
+        .reports
+        .iter()
+        .map(|r| dump(r.outcome.as_ref().unwrap()))
+        .collect();
+
+    // One more solve segment, sorted last: three good records and one whose
+    // digest has a flipped byte.
+    let seg = SolveStore::open(&pristine)
+        .unwrap()
+        .segment_files()
+        .unwrap()[0]
+        .clone();
+    let text = std::fs::read_to_string(seg).unwrap();
+    let records: Vec<&str> = text.lines().skip(1).take(4).collect();
+    assert_eq!(records.len(), 4);
+    let flipped = if records[3].starts_with('0') {
+        "1"
+    } else {
+        "0"
+    };
+    let corrupt = format!(
+        "{STORE_HEADER}\n{}\n{}\n{}\n{flipped}{}\n",
+        records[0],
+        records[1],
+        records[2],
+        &records[3][1..]
+    );
+    std::fs::write(
+        pristine.join("seg-99999999999999999999-1-0000.soapstore"),
+        &corrupt,
+    )
+    .unwrap();
+    let original = snapshot(&pristine);
+
+    let mut runs: Vec<(StoreLoadStats, StoreLoadStats, Vec<u8>, Vec<String>)> = Vec::new();
+    for budget in [1usize, 2, 8] {
+        let dir = temp_dir(&format!("budget-{budget}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, bytes) in &original {
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+        let prev = set_worker_budget(budget);
+        let cache = SolveCache::with_store(&dir).expect("store opens");
+        let warm = analyze_suite(&jobs, &cache, None, None);
+        set_worker_budget(prev);
+        assert_eq!(warm.summary.cache.report_hits, jobs.len() as u64);
+        let solve = cache.store_load_stats().unwrap().clone();
+        let reports = cache.report_load_stats().unwrap().clone();
+        drop(cache);
+        assert_eq!(
+            (solve.records_skipped, solve.quarantined),
+            (1, 1),
+            "budget {budget}: {:?}",
+            solve.notes
+        );
+        // The salvaged segment is the one new file; it holds the three good
+        // records.
+        let after = snapshot(&dir);
+        let salvaged: Vec<&Vec<u8>> = after
+            .iter()
+            .filter(|(name, _)| !original.contains_key(*name) && !name.ends_with(".quarantined"))
+            .map(|(_, bytes)| bytes)
+            .collect();
+        assert_eq!(salvaged.len(), 1, "budget {budget}: {:?}", after.keys());
+        let dumps = warm
+            .reports
+            .iter()
+            .map(|r| dump(r.outcome.as_ref().unwrap()))
+            .collect();
+        runs.push((solve, reports, salvaged[0].clone(), dumps));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let mut expected_salvage = format!("{STORE_HEADER}\n");
+    let mut good = records[..3].to_vec();
+    good.sort();
+    for line in good {
+        expected_salvage.push_str(line);
+        expected_salvage.push('\n');
+    }
+    assert_eq!(runs[0].2, expected_salvage.into_bytes());
+    assert_eq!(
+        runs[0].3, cold,
+        "warm replay differs from the cold analysis"
+    );
+    for run in &runs[1..] {
+        assert_eq!(run.0, runs[0].0, "solve load stats differ across budgets");
+        assert_eq!(run.1, runs[0].1, "report load stats differ across budgets");
+        assert_eq!(run.2, runs[0].2, "salvaged segment differs across budgets");
+        assert_eq!(run.3, runs[0].3, "warm analyses differ across budgets");
+    }
+    let _ = std::fs::remove_dir_all(&pristine);
 }

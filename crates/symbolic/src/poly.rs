@@ -116,6 +116,17 @@ impl Polynomial {
         Polynomial { terms }
     }
 
+    /// The sum of `(monomial, coefficient)` terms: like monomials add up and
+    /// zero coefficients are dropped, exactly as a chain of [`add`](Self::add)s
+    /// of the single terms would leave them.
+    pub fn from_terms(terms: impl IntoIterator<Item = (Monomial, Rational)>) -> Self {
+        let mut out = Polynomial::zero();
+        for (m, c) in terms {
+            out.insert(m, c);
+        }
+        out.normalize()
+    }
+
     /// Whether this is the zero polynomial.
     pub fn is_zero(&self) -> bool {
         self.terms.is_empty()
