@@ -42,6 +42,31 @@ use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Duration;
 
+/// Write `text` to stdout.  Every subcommand prints through here: a closed
+/// stdout (the reader went away, as in `soap-cli list | head -1`) ends the
+/// process quietly with success instead of panicking like `println!`, and
+/// any other write error is reported on stderr with a failing exit.
+fn write_stdout(text: &str) {
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("soap-cli: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(&format!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn usage() -> ! {
     eprintln!(
         "usage:\n  \
@@ -234,7 +259,7 @@ fn main() -> ExitCode {
     match args.first().map(|s| s.as_str()) {
         Some("list") => {
             for entry in soap_kernels::registry() {
-                println!("{:<24} ({:?})", entry.name, entry.group);
+                outln!("{:<24} ({:?})", entry.name, entry.group);
             }
             ExitCode::SUCCESS
         }
@@ -363,7 +388,7 @@ fn serve(args: &[String]) -> ExitCode {
     };
     // The bound address goes to stdout (scripts capture it — with port 0 the
     // kernel picks the port); progress chatter stays on stderr.
-    println!("listening on http://{}", server.addr());
+    outln!("listening on http://{}", server.addr());
     eprintln!("serve: POST /shutdown to stop; GET /stats for live counters");
     server.wait_for_shutdown();
     match server.stop() {
@@ -585,10 +610,7 @@ fn batch(args: &[String]) -> ExitCode {
                 s.programs, s.failures, s.cache.cross_program_hits
             );
         }
-        None => {
-            let mut stdout = std::io::stdout().lock();
-            let _ = stdout.write_all(text.as_bytes());
-        }
+        None => write_stdout(&text),
     }
     let flushed = flush_cache(&cache);
     if s.failures > 0 || !flushed {
@@ -632,15 +654,15 @@ fn report_with(program: &Program, assume_injective: bool, json: bool, cache: &So
                     })).collect::<Vec<_>>(),
                     "notes": analysis.notes,
                 });
-                println!(
+                outln!(
                     "{}",
                     serde_json::to_string_pretty(&record).expect("serializable")
                 );
             } else {
-                println!("program {}", program.name);
-                println!("  I/O lower bound: Q ≥ {}", analysis.bound);
+                outln!("program {}", program.name);
+                outln!("  I/O lower bound: Q ≥ {}", analysis.bound);
                 for a in &analysis.per_array {
-                    println!(
+                    outln!(
                         "  array {:<12} |A| = {:<24} ρ = {:<16} via {{{}}}",
                         a.array,
                         format!("{}", a.vertex_count),
@@ -649,13 +671,14 @@ fn report_with(program: &Program, assume_injective: bool, json: bool, cache: &So
                     );
                 }
                 if let Some(t) = sota_bound(&program.name) {
-                    println!(
+                    outln!(
                         "  paper / prior:   {}  (source: {})",
-                        t.paper_soap_bound, t.source
+                        t.paper_soap_bound,
+                        t.source
                     );
                 }
                 for n in &analysis.notes {
-                    println!("  note: {n}");
+                    outln!("  note: {n}");
                 }
             }
             true
@@ -690,17 +713,17 @@ fn cache_cmd(args: &[String]) -> ExitCode {
             // `stat` only reads: the quarantined segments it counts were
             // set aside by earlier hydrations and sit there until `clear`.
             let quarantined_on_disk = store.quarantined_files().map(|f| f.len()).unwrap_or(0);
-            println!("store {dir}");
-            println!("  format            {}", soap_sdg::STORE_HEADER);
-            println!("  segments          {}", stats.segments);
-            println!("  segments rejected {}", stats.segments_rejected);
-            println!("  records           {}", stats.records);
-            println!("  records skipped   {}", stats.records_skipped);
-            println!("  distinct entries  {}", stats.entries);
-            println!("  bytes             {}", stats.bytes);
-            println!("  quarantined       {quarantined_on_disk}");
+            outln!("store {dir}");
+            outln!("  format            {}", soap_sdg::STORE_HEADER);
+            outln!("  segments          {}", stats.segments);
+            outln!("  segments rejected {}", stats.segments_rejected);
+            outln!("  records           {}", stats.records);
+            outln!("  records skipped   {}", stats.records_skipped);
+            outln!("  distinct entries  {}", stats.entries);
+            outln!("  bytes             {}", stats.bytes);
+            outln!("  quarantined       {quarantined_on_disk}");
             for note in &stats.notes {
-                println!("  note: {note}");
+                outln!("  note: {note}");
             }
             // The finished-report family shares the directory but is a
             // separate record type with its own segments and quarantine.
@@ -709,16 +732,16 @@ fn cache_cmd(args: &[String]) -> ExitCode {
                 .report_quarantined_files()
                 .map(|f| f.len())
                 .unwrap_or(0);
-            println!("reports (format {})", soap_sdg::REPORT_HEADER);
-            println!("  segments          {}", reports.segments);
-            println!("  segments rejected {}", reports.segments_rejected);
-            println!("  records           {}", reports.records);
-            println!("  records skipped   {}", reports.records_skipped);
-            println!("  distinct entries  {}", reports.entries);
-            println!("  bytes             {}", reports.bytes);
-            println!("  quarantined       {report_quarantined}");
+            outln!("reports (format {})", soap_sdg::REPORT_HEADER);
+            outln!("  segments          {}", reports.segments);
+            outln!("  segments rejected {}", reports.segments_rejected);
+            outln!("  records           {}", reports.records);
+            outln!("  records skipped   {}", reports.records_skipped);
+            outln!("  distinct entries  {}", reports.entries);
+            outln!("  bytes             {}", reports.bytes);
+            outln!("  quarantined       {report_quarantined}");
             for note in &reports.notes {
-                println!("  note: {note}");
+                outln!("  note: {note}");
             }
             Ok(())
         }),
@@ -735,18 +758,18 @@ fn cache_cmd(args: &[String]) -> ExitCode {
                             .saturating_sub(1)
                     })
                     .unwrap_or(0);
-                println!(
+                outln!(
                     "{:<56} {records:>6} record(s) {bytes:>10} bytes",
                     path.file_name().unwrap_or_default().to_string_lossy()
                 );
             }
             if files.is_empty() {
-                println!("store {dir}: no segments");
+                outln!("store {dir}: no segments");
             }
             Ok(())
         }),
         "clear" => store.clear().map(|removed| {
-            println!("store {dir}: removed {removed} segment(s)");
+            outln!("store {dir}: removed {removed} segment(s)");
         }),
         _ => usage(),
     };

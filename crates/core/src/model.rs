@@ -7,9 +7,10 @@
 //! `ρ(S) = min_X χ(X)/(X−S)`, the optimal `X₀`, and the optimal tile shape.
 
 use crate::AnalysisError;
+use soap_symbolic::opt::ProductSolution;
 use soap_symbolic::{
-    lp, ClosedForm, CompiledConstraint, CompiledPosynomial, ConstrainedProduct, Deadline, Expr,
-    Rational, SolveInfo, POWER_LAW_PROBES,
+    fit_power_law, lp, ClosedForm, ConstrainedProduct, Deadline, Expired, Expr, Rational,
+    SolveInfo, POWER_LAW_PROBES,
 };
 
 /// The optimization model for one (possibly merged) statement.
@@ -84,90 +85,104 @@ impl IntensityResult {
 /// probe solves — the cross-subgraph cache uses it to surface
 /// iteration-budget exhaustion in `SolverSummary`.
 ///
-/// With `compiled = None` the objective and dominator are compiled once into
-/// posynomial form inside [`ConstrainedProduct::new`] (falling back to the
-/// `Expr`-eval path for models outside (max-)posynomial form); the solve
-/// cache passes the forms it already compiled for its canonical key, which
-/// skips the duplicate compilation but takes exactly the same numeric path.
-/// All three power-law probes and the tile-shape solve reuse the compiled
-/// arrays.  Under a `deadline` the KKT loops poll it and the whole solve
-/// returns [`AnalysisError::Cancelled`] when it expires mid-solve.
+/// The objective and dominator are compiled once into posynomial form; all
+/// three power-law probes and the tile-shape solve reuse the compiled
+/// arrays.  A model outside (max-)posynomial form fails with
+/// [`AnalysisError::NumericalFailure`].  Under a `deadline` the KKT loops
+/// poll it and the whole solve returns [`AnalysisError::Cancelled`] when it
+/// expires mid-solve.
 pub fn solve_model(
     model: &AccessModel,
-    compiled: Option<(CompiledPosynomial, CompiledConstraint)>,
     deadline: Option<&Deadline>,
 ) -> (Result<IntensityResult, AnalysisError>, SolveInfo) {
-    let build = || match compiled {
-        Some((objective, dominator)) => ConstrainedProduct::from_compiled(
-            model.tile_variables.clone(),
-            model.objective.clone(),
-            model.dominator.clone(),
-            objective,
-            dominator,
-        ),
-        None => ConstrainedProduct::new(
-            model.tile_variables.clone(),
-            model.objective.clone(),
-            model.dominator.clone(),
-        ),
+    let has_inputs = !model.dominator.is_zero();
+    // The model checks come before compilation so that their errors win
+    // over a compile failure.
+    if let Err(e) = check_model(&model.name, &model.tile_variables, has_inputs) {
+        return (Err(e), SolveInfo::default());
+    }
+    let Some(problem) =
+        ConstrainedProduct::new(&model.tile_variables, &model.objective, &model.dominator)
+    else {
+        let e = AnalysisError::NumericalFailure(format!(
+            "model {} is outside (max-)posynomial form",
+            model.name
+        ));
+        return (Err(e), SolveInfo::default());
     };
-    let mut info = SolveInfo::default();
-    let result = solve_model_inner(model, build, &mut info, deadline);
-    (result, info)
-}
-
-/// [`solve_model`] forced down the retained `Expr`-eval solver path
-/// (finite-difference gradients, bisection projection) — the differential
-/// baseline the compiled path is pinned against.
-pub fn solve_model_reference(model: &AccessModel) -> Result<IntensityResult, AnalysisError> {
-    let build = || {
-        ConstrainedProduct::new_reference(
-            model.tile_variables.clone(),
-            model.objective.clone(),
-            model.dominator.clone(),
-        )
-    };
-    solve_model_inner(model, build, &mut SolveInfo::default(), None)
+    fit_intensity(
+        &model.name,
+        &model.tile_variables,
+        has_inputs,
+        &model.access_index_sets,
+        |x, warm| problem.solve(x, warm, deadline),
+    )
 }
 
 /// The [`AnalysisError`] for a deadline that expired inside a model solve.
-fn cancelled(model: &AccessModel) -> AnalysisError {
-    AnalysisError::Cancelled(format!("deadline expired while solving {}", model.name))
+fn cancelled(name: &str) -> AnalysisError {
+    AnalysisError::Cancelled(format!("deadline expired while solving {name}"))
 }
 
-fn solve_model_inner(
-    model: &AccessModel,
-    build: impl FnOnce() -> ConstrainedProduct,
-    info: &mut SolveInfo,
-    deadline: Option<&Deadline>,
-) -> Result<IntensityResult, AnalysisError> {
-    if model.tile_variables.is_empty() {
+/// The checks every model passes before it is solved.
+fn check_model(
+    name: &str,
+    tile_variables: &[String],
+    has_inputs: bool,
+) -> Result<(), AnalysisError> {
+    if tile_variables.is_empty() {
         return Err(AnalysisError::InvalidStatement(format!(
-            "model {} has no tile variables",
-            model.name
+            "model {name} has no tile variables"
         )));
     }
-    if model.dominator.is_zero() {
-        return Err(AnalysisError::NoInputs(model.name.clone()));
+    if !has_inputs {
+        return Err(AnalysisError::NoInputs(name.to_string()));
     }
-    let problem = build();
-    let (mut law, fit_info, fit_extents) = problem
-        .fit_power_law(deadline)
-        .map_err(|_| cancelled(model))?;
+    Ok(())
+}
+
+/// The solve pipeline behind [`solve_model`], over one KKT solve
+/// `kkt(x, warm)` of the model's problem: the model checks, the power-law
+/// fit, the exact-LP cross-check of σ and the tile-shape fit.
+///
+/// The model is given by its parts: its `name`, its `tile_variables`,
+/// whether its dominator is non-zero (`has_inputs`) and its LP index sets.
+/// The solve cache calls it directly with the compiled problem of a
+/// canonical key, and the differential tests pass a reference solver.
+pub fn fit_intensity(
+    name: &str,
+    tile_variables: &[String],
+    has_inputs: bool,
+    access_index_sets: &[Vec<usize>],
+    mut kkt: impl FnMut(f64, Option<&[f64]>) -> Result<(ProductSolution, SolveInfo), Expired>,
+) -> (Result<IntensityResult, AnalysisError>, SolveInfo) {
+    let mut info = SolveInfo::default();
+    let result = check_model(name, tile_variables, has_inputs)
+        .and_then(|()| fit_checked(name, tile_variables, access_index_sets, &mut kkt, &mut info));
+    (result, info)
+}
+
+fn fit_checked(
+    name: &str,
+    tile_variables: &[String],
+    access_index_sets: &[Vec<usize>],
+    mut kkt: impl FnMut(f64, Option<&[f64]>) -> Result<(ProductSolution, SolveInfo), Expired>,
+    info: &mut SolveInfo,
+) -> Result<IntensityResult, AnalysisError> {
+    let (mut law, fit_info, fit_extents) = fit_power_law(&mut kkt).map_err(|_| cancelled(name))?;
     info.absorb(fit_info);
     if !law.coeff.is_finite() || law.coeff <= 0.0 {
         return Err(AnalysisError::NumericalFailure(format!(
-            "power-law fit failed for {} (coeff = {})",
-            model.name, law.coeff
+            "power-law fit failed for {name} (coeff = {})",
+            law.coeff
         )));
     }
 
     // Cross-check σ with the exact exponent LP when the dominator consists of
     // pure product terms (all index sets provided).  The LP is exact rational
     // arithmetic, so when the two disagree slightly we trust the LP.
-    if !model.access_index_sets.is_empty() && model.access_index_sets.iter().all(|s| !s.is_empty())
-    {
-        let lp_sol = lp::access_exponent_lp(model.tile_variables.len(), &model.access_index_sets);
+    if !access_index_sets.is_empty() && access_index_sets.iter().all(|s| !s.is_empty()) {
+        let lp_sol = lp::access_exponent_lp(tile_variables.len(), access_index_sets);
         let diff = (lp_sol.value.to_f64() - law.exponent.to_f64()).abs();
         if diff > 1e-9 && diff < 0.15 {
             law.exponent = lp_sol.value;
@@ -186,32 +201,25 @@ fn solve_model_inner(
     let x_probe = 1.0e8;
     // lint:allow(unwrap-expect): POWER_LAW_PROBES is a non-empty const table
     let x_fit = *POWER_LAW_PROBES.last().expect("probes are non-empty");
-    let (sol, probe_info) = problem
-        .solve(x_probe, Some(&fit_extents), deadline)
-        .map_err(|_| cancelled(model))?;
+    let (sol, probe_info) = kkt(x_probe, Some(&fit_extents)).map_err(|_| cancelled(name))?;
     info.absorb(probe_info);
     let mut tile_exponents = Vec::new();
     let mut tile_coeffs = Vec::new();
-    for ((name, extent), fit_extent) in model
-        .tile_variables
-        .iter()
-        .zip(&sol.extents)
-        .zip(&fit_extents)
-    {
+    for ((var, extent), fit_extent) in tile_variables.iter().zip(&sol.extents).zip(&fit_extents) {
         let raw = (fit_extent / extent).ln() / (x_fit / x_probe).ln();
         let e = Rational::approximate(raw, 12, 0.03)
             .or_else(|| Rational::approximate(raw, 48, 0.05))
             .unwrap_or(Rational::ZERO);
         let coeff = extent / x_probe.powf(e.to_f64());
         let coeff_cf = ClosedForm::recognize(coeff);
-        tile_exponents.push((name.clone(), e));
-        tile_coeffs.push((name.clone(), coeff_cf.value()));
+        tile_exponents.push((var.clone(), e));
+        tile_coeffs.push((var.clone(), coeff_cf.value()));
     }
 
     let rho = law.intensity();
     let x0 = law.optimal_x();
     Ok(IntensityResult {
-        name: model.name.clone(),
+        name: name.to_string(),
         sigma: law.exponent,
         chi_coeff: law.coeff,
         rho,
@@ -242,7 +250,7 @@ mod tests {
                 .add(dv("i").mul(dv("j"))),
             access_index_sets: vec![vec![0, 2], vec![2, 1], vec![0, 1]],
         };
-        let res = solve_model(&model, None, None).0.unwrap();
+        let res = solve_model(&model, None).0.unwrap();
         assert_eq!(res.sigma, Rational::new(3, 2));
         assert!((res.rho_at(10_000.0) - 50.0).abs() < 1.0);
         // X0 = 3S; tiles at S=10000 are ~sqrt(X0/3) = 100 each.
@@ -267,7 +275,7 @@ mod tests {
             dominator: dv("i").add(Expr::int(2).mul(dv("t"))),
             access_index_sets: vec![],
         };
-        let res = solve_model(&model, None, None).0.unwrap();
+        let res = solve_model(&model, None).0.unwrap();
         assert_eq!(res.sigma, Rational::int(2));
         for (name, e) in &res.tile_exponents {
             assert_eq!(*e, Rational::ONE, "tile exponent of {name}");
@@ -304,9 +312,28 @@ mod tests {
             access_index_sets: vec![],
         };
         assert!(matches!(
-            solve_model(&model, None, None).0,
+            solve_model(&model, None).0,
             Err(AnalysisError::NoInputs(_))
         ));
+    }
+
+    #[test]
+    fn dominators_outside_posynomial_form_fail_numerically() {
+        // A sqrt factor has a fractional exponent: neither the posynomial nor
+        // the max-posynomial form compiles it, and there is no other solver.
+        let model = AccessModel {
+            name: "sqrt-dominator".into(),
+            tile_variables: vec![tile_var("i"), tile_var("j")],
+            objective: dv("i").mul(dv("j")),
+            dominator: dv("i").mul(dv("j")).sqrt().add(dv("i")).add(dv("j")),
+            access_index_sets: vec![],
+        };
+        let (solved, info) = solve_model(&model, None);
+        assert!(
+            matches!(solved, Err(AnalysisError::NumericalFailure(ref msg)) if msg.contains("sqrt-dominator")),
+            "{solved:?}"
+        );
+        assert_eq!(info.solves, 0);
     }
 
     #[test]
@@ -322,7 +349,7 @@ mod tests {
             dominator: g,
             access_index_sets: vec![],
         };
-        let res = solve_model(&model, None, None).0.unwrap();
+        let res = solve_model(&model, None).0.unwrap();
         assert_eq!(res.sigma, Rational::ONE);
         assert!((res.rho_at(64.0) - 2.0).abs() < 0.05);
         assert!(res.x0.is_none());

@@ -14,7 +14,7 @@ use soap_ir::Program;
 // the seed's `partial_cmp(..).unwrap_or(Equal)` silently treated NaN as equal
 // to everything, making the winner order-dependent.
 use soap_symbolic::{nan_last, Deadline, Expr, Polynomial, Rational};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -113,11 +113,13 @@ pub struct SolverSummary {
     /// Subgraphs dropped because their analysis panicked (caught and isolated
     /// per subgraph; the rest of the program's subgraphs still complete).
     pub panic_failures: usize,
-    /// Subgraphs abandoned at a deadline/cancellation commit point.  Unlike
-    /// the failure counters above these do **not** merely loosen the
-    /// Theorem-1 maximum: every array touching a cancelled subgraph has its
-    /// contribution deferred (counted as zero), keeping the degraded bound a
-    /// sound partial bound.  Always 0 on an ungoverned, fault-free run.
+    /// Subgraphs abandoned at a deadline/cancellation commit point.  Always 0
+    /// on an ungoverned, fault-free run.
+    ///
+    /// Every dropped subgraph — failed or cancelled — is a candidate missing
+    /// from the Theorem-1 maximum, which would *raise* the bound: every
+    /// array it touches has its contribution deferred (counted as zero) and
+    /// the analysis is degraded, keeping the bound a sound partial bound.
     pub cancelled: usize,
 }
 
@@ -196,14 +198,16 @@ pub struct ProgramAnalysis {
     pub solver: SolverSummary,
     /// Per-phase timing breakdown (enumerate / merge / instantiate / solve).
     pub phases: PhaseTimings,
-    /// True iff a deadline or cancellation abandoned part of the analysis.
-    /// The `bound` is then a *sound partial bound*: numerically at most the
-    /// full Theorem-1 bound (deferred arrays contribute zero), never more.
-    /// Always false on an ungoverned, fault-free run.
+    /// True iff a deadline or cancellation abandoned part of the analysis,
+    /// or a subgraph failed to merge, solve or finish (panic).  The `bound`
+    /// is then a *sound partial bound*: numerically at most the full
+    /// Theorem-1 bound (deferred arrays contribute zero), never more.
+    /// Degraded results are never memoized or stored.  Always false on an
+    /// ungoverned, fault-free run of a program whose subgraphs all solve.
     pub degraded: bool,
     /// Computed arrays whose contribution was deferred (counted as zero)
-    /// because a candidate subgraph was cancelled before it solved, or
-    /// because enumeration itself was cut short.
+    /// because a candidate subgraph was cancelled or failed, or because
+    /// enumeration itself was cut short.
     pub arrays_deferred: usize,
 }
 
@@ -237,7 +241,8 @@ impl ProgramAnalysis {
 /// iteration checks) and returns a **degraded-but-sound** result instead of
 /// an error: every array touching a cancelled subgraph contributes *zero* to
 /// the bound (see [`ProgramAnalysis::degraded`]), so the degraded bound never
-/// exceeds the full Theorem-1 bound.
+/// exceeds the full Theorem-1 bound.  A subgraph that fails to merge or
+/// solve, or whose analysis panics, degrades the result the same way.
 pub fn analyze_program(
     program: &Program,
     opts: &SdgOptions,
@@ -356,62 +361,69 @@ pub fn analyze_program(
         })
         .collect();
 
-    // Failed subgraphs only loosen the Theorem-1 maximum (fewer candidate
-    // intensities); count them per error kind so a looser bound is
-    // diagnosable instead of silently dropping them.  *Cancelled* subgraphs
-    // are different: dropping a candidate would raise the claimed lower
-    // bound, so every array they touch is deferred instead (contributes 0).
+    // Theorem 1 takes, per array, the *maximum* intensity over the subgraphs
+    // containing it.  A subgraph that failed — cancelled, or a merge, solve
+    // or panic failure — is a candidate missing from that maximum, and
+    // dropping a candidate can only lower the maximum and so *raise* the
+    // claimed lower bound, which is the unsound direction.  Every array of
+    // a failed subgraph is therefore deferred (contributes 0) and the
+    // analysis is degraded; failures are still counted per error kind so
+    // the deferral is diagnosable.
     let attempted = outcomes.len();
     let mut subgraphs: Vec<SubgraphIntensity> = Vec::with_capacity(attempted);
     let mut merge_failures = 0usize;
     let mut solve_failures = 0usize;
     let mut panic_failures = 0usize;
     let mut cancelled = 0usize;
-    let mut deferred_arrays: BTreeSet<String> = BTreeSet::new();
+    // Deferred array → the cause named in its note (first failure wins, in
+    // enumeration order, so the notes are deterministic).
+    let mut deferred_arrays: BTreeMap<String, &'static str> = BTreeMap::new();
     let mut first_panic: Option<String> = None;
     let mut failure_kinds: BTreeMap<String, usize> = BTreeMap::new();
     for (index, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
-            Ok(s) => subgraphs.push(s),
-            Err(SubgraphFailure::Cancelled) => {
+        let failure = match outcome {
+            Ok(s) => {
+                subgraphs.push(s);
+                continue;
+            }
+            Err(failure) => failure,
+        };
+        let (kind, cause) = match &failure {
+            SubgraphFailure::Cancelled => {
                 cancelled += 1;
-                deferred_arrays.extend(subgraph_sets[index].iter().cloned());
+                (None, "a candidate subgraph was cancelled before solving")
             }
-            Err(failure) => {
-                let (stage, kind) = match &failure {
-                    SubgraphFailure::Merge(e) => {
-                        merge_failures += 1;
-                        ("merge", error_kind(e))
-                    }
-                    SubgraphFailure::Solve(e) => {
-                        solve_failures += 1;
-                        ("solve", error_kind(e))
-                    }
-                    SubgraphFailure::Panic(msg) => {
-                        panic_failures += 1;
-                        if first_panic.is_none() {
-                            first_panic = Some(msg.clone());
-                        }
-                        ("analysis", "panic")
-                    }
-                    SubgraphFailure::Cancelled => unreachable!("handled above"),
-                };
-                *failure_kinds.entry(format!("{stage}/{kind}")).or_insert(0) += 1;
+            SubgraphFailure::Merge(e) => {
+                merge_failures += 1;
+                (
+                    Some(("merge", error_kind(e))),
+                    "a candidate subgraph failed to merge",
+                )
             }
+            SubgraphFailure::Solve(e) => {
+                solve_failures += 1;
+                (
+                    Some(("solve", error_kind(e))),
+                    "a candidate subgraph failed to solve",
+                )
+            }
+            SubgraphFailure::Panic(msg) => {
+                panic_failures += 1;
+                first_panic.get_or_insert_with(|| msg.clone());
+                (
+                    Some(("analysis", "panic")),
+                    "a candidate subgraph's analysis panicked",
+                )
+            }
+        };
+        if let Some((stage, kind)) = kind {
+            *failure_kinds.entry(format!("{stage}/{kind}")).or_insert(0) += 1;
+        }
+        for array in &subgraph_sets[index] {
+            deferred_arrays.entry(array.clone()).or_insert(cause);
         }
     }
-    if merge_failures + solve_failures + panic_failures > 0 {
-        let breakdown: Vec<String> = failure_kinds
-            .iter()
-            .map(|(kind, count)| format!("{count}× {kind}"))
-            .collect();
-        notes.push(format!(
-            "{} of {} enumerated subgraphs were skipped ({}); their intensities are missing from the Theorem-1 maximum, so the bound may be looser",
-            merge_failures + solve_failures + panic_failures,
-            attempted,
-            breakdown.join(", ")
-        ));
-    }
+    let failed = merge_failures + solve_failures + panic_failures;
     if let Some(msg) = first_panic {
         notes.push(format!(
             "a subgraph analysis panicked (first payload: {msg}); this is a bug in the analysis, not a property of the input"
@@ -425,7 +437,7 @@ pub fn analyze_program(
         ));
     }
 
-    let degraded = enumeration_cut_short || cancelled > 0;
+    let degraded = enumeration_cut_short || cancelled > 0 || failed > 0;
     if degraded {
         let mut parts = Vec::new();
         if enumeration_cut_short {
@@ -436,8 +448,18 @@ pub fn analyze_program(
                 "{cancelled} of {attempted} subgraph(s) were cancelled before solving"
             ));
         }
+        if failed > 0 {
+            let breakdown: Vec<String> = failure_kinds
+                .iter()
+                .map(|(kind, count)| format!("{count}× {kind}"))
+                .collect();
+            parts.push(format!(
+                "{failed} of {attempted} subgraph(s) failed ({})",
+                breakdown.join(", ")
+            ));
+        }
         notes.push(format!(
-            "analysis degraded by deadline/cancellation: {}; affected arrays contribute zero, so the reported bound is a sound partial bound (at most the full Theorem-1 bound)",
+            "analysis degraded: {}; affected arrays contribute zero (dropping a candidate from the Theorem-1 maximum would raise the bound), so the reported bound is a sound partial bound (at most the full Theorem-1 bound)",
             parts.join("; ")
         ));
     }
@@ -452,10 +474,15 @@ pub fn analyze_program(
     let mut arrays_deferred = 0usize;
     let mut total = Expr::zero();
     for array in program.computed_arrays() {
-        if enumeration_cut_short || deferred_arrays.contains(&array) {
+        let cause = if enumeration_cut_short {
+            Some("subgraph enumeration was cut short")
+        } else {
+            deferred_arrays.get(&array).copied()
+        };
+        if let Some(cause) = cause {
             arrays_deferred += 1;
             notes.push(format!(
-                "array {array}: contribution deferred (a candidate subgraph was cancelled before solving); counted as zero in the degraded bound"
+                "array {array}: contribution deferred ({cause}); counted as zero in the degraded bound"
             ));
             continue;
         }
@@ -497,10 +524,9 @@ pub fn analyze_program(
     };
 
     // Persist the finished report for later processes — but only a *full*
-    // result: degraded analyses are partial by construction, and a panicked
-    // subgraph means the Theorem-1 maximum may be missing candidates for a
-    // reason that is a bug, not a property of the input.
-    if !degraded && panic_failures == 0 && cache.store_dir().is_some() {
+    // result: degraded analyses (cancelled or failed subgraphs) are partial
+    // by construction.
+    if !degraded && cache.store_dir().is_some() {
         cache.record_report(
             report_key,
             StoredReport {

@@ -52,9 +52,10 @@
 
 use crate::faults::FaultPlan;
 use crate::store::{SolveStore, StoreFlushStats, StoreLoadStats, StoredReport};
-use soap_core::{solve_model, AccessModel, AnalysisError, IntensityResult};
+use soap_core::{fit_intensity, solve_model, AccessModel, AnalysisError, IntensityResult};
 use soap_symbolic::{
-    CompiledConstraint, CompiledPosynomial, Deadline, Expr, MaxPosynomial, Rational,
+    CompiledConstraint, CompiledPosynomial, ConstrainedProduct, Deadline, Expr, MaxPosynomial,
+    Rational, SolveInfo,
 };
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -103,21 +104,13 @@ impl CanonicalKey {
     }
 }
 
-/// A canonicalized model: the key, the variable order that produced it
-/// (`order[p]` = the model's variable index at canonical position `p`), and
-/// the compiled forms of both sides (byproducts of building the key, exposed
-/// for callers that want to solve the model directly without re-compiling —
-/// the cache itself solves the reconstructed canonical model instead, so its
-/// stored solutions are representative-independent).
+/// A canonicalized model: the key and the variable order that produced it
+/// (`order[p]` = the model's variable index at canonical position `p`).
 pub struct CanonicalModel {
     /// The renaming-invariant key.
     pub key: CanonicalKey,
     /// Canonical position → original variable index.
     pub order: Vec<usize>,
-    /// The objective compiled during canonicalization.
-    pub compiled_objective: CompiledPosynomial,
-    /// The dominator compiled during canonicalization.
-    pub compiled_dominator: CompiledConstraint,
 }
 
 /// Compute the canonical form of a model.
@@ -132,33 +125,24 @@ pub fn canonicalize(model: &AccessModel) -> Option<CanonicalModel> {
     }
     let vars = &model.tile_variables;
     let obj = CompiledPosynomial::compile(&model.objective, vars)?;
-    if let Some(dom) = CompiledPosynomial::compile(&model.dominator, vars) {
-        let order = canonical_variable_order(&[(0u8, &obj), (1u8, &dom)], vars.len());
-        let key = CanonicalKey {
-            n_vars: vars.len(),
-            objective: permuted_rows(&obj, &order),
-            dominator: CanonicalDominator::Pure(permuted_rows(&dom, &order)),
-        };
-        return Some(CanonicalModel {
-            key,
-            order,
-            compiled_objective: obj,
-            compiled_dominator: CompiledConstraint::Pure(dom),
-        });
-    }
-    let dom = MaxPosynomial::compile(&model.dominator, vars)?;
-    let order = max_variable_order(&obj, &dom, vars.len());
+    let (order, dominator) = match CompiledConstraint::compile(&model.dominator, vars)? {
+        CompiledConstraint::Pure(dom) => {
+            let order = canonical_variable_order(&[(0u8, &obj), (1u8, &dom)], vars.len());
+            let dominator = CanonicalDominator::Pure(permuted_rows(&dom, &order));
+            (order, dominator)
+        }
+        CompiledConstraint::Mixed(dom) => {
+            let order = max_variable_order(&obj, &dom, vars.len());
+            let dominator = canonical_max_dominator(&dom, &order);
+            (order, dominator)
+        }
+    };
     let key = CanonicalKey {
         n_vars: vars.len(),
         objective: permuted_rows(&obj, &order),
-        dominator: canonical_max_dominator(&dom, &order),
+        dominator,
     };
-    Some(CanonicalModel {
-        key,
-        order,
-        compiled_objective: obj,
-        compiled_dominator: CompiledConstraint::Mixed(dom),
-    })
+    Some(CanonicalModel { key, order })
 }
 
 /// Canonical variable order for a max-form model: the objective (tag 0) and
@@ -807,11 +791,6 @@ impl SolveCache {
         })
     }
 
-    /// The number of lock stripes.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Open a new session (one per program analysis).  Sessions are how a
     /// shared cache distinguishes cross-program hits from intra-program hits:
     /// a hit on an entry first inserted by a different session counts as
@@ -879,12 +858,12 @@ impl SolveCache {
             self.bump(local, |c| &c.uncacheable, 1);
             // lint:allow(instant-now): solve timing is perf metadata on the report; bound computation never depends on it
             let solve_start = std::time::Instant::now();
-            let (solved, info) = solve_model(model, None, deadline);
+            let (solved, info) = solve_model(model, deadline);
             self.bump(local, |c| &c.solve_ns, elapsed_ns(solve_start));
             self.bump(local, |c| &c.kkt_cap_hits, u64::from(info.cap_hits));
             return solved;
         };
-        let CanonicalModel { key, order, .. } = canon;
+        let CanonicalModel { key, order } = canon;
         let max_form = key.is_max_form();
         // Whoever wins a cell's initialization race runs the solve; every
         // other requester of the same structure blocks until it lands.  The
@@ -923,10 +902,8 @@ impl SolveCache {
                 solved_here = true;
                 // lint:allow(instant-now): solve timing is perf metadata on the report; bound computation never depends on it
                 let solve_start = std::time::Instant::now();
-                let canonical_model = canonical_access_model(&key);
-                let compiled = canonical_compiled_forms(&key);
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    solve_model(&canonical_model, Some(compiled), deadline)
+                    solve_canonical(&key, deadline)
                 }));
                 solve_ns = elapsed_ns(solve_start);
                 match outcome {
@@ -1011,57 +988,27 @@ pub(crate) fn elapsed_ns(start: std::time::Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Reconstruct the canonical [`AccessModel`] of a key: canonical variable
-/// names (`D_c000`, `D_c001`, … — zero-padded so lexicographic order matches
-/// canonical position order) and expressions rebuilt from the canonically
-/// sorted matrices.  A pure function of the key, so the solve it feeds is
-/// identical no matter which isomorphic model triggered the miss.
-fn canonical_access_model(key: &CanonicalKey) -> AccessModel {
+/// Solve the canonical model of a key: canonical variable names (`D_c000`,
+/// `D_c001`, … — zero-padded so lexicographic order matches canonical
+/// position order) over the compiled forms of [`canonical_compiled_forms`].
+/// A pure function of the key, so the solve is identical no matter which
+/// isomorphic model triggered the miss.
+fn solve_canonical(
+    key: &CanonicalKey,
+    deadline: Option<&Deadline>,
+) -> (Result<IntensityResult, AnalysisError>, SolveInfo) {
     let vars: Vec<String> = (0..key.n_vars).map(|i| format!("D_c{i:03}")).collect();
-    let rows_to_expr = |rows: &[CanonicalRow]| -> Expr {
-        Expr::sum(
-            rows.iter()
-                .map(|(exps, coeff)| monomial(exps, *coeff, &vars)),
-        )
+    // A zero dominator compiles to one all-zero row; a max-form one always
+    // carries atoms.
+    let has_inputs = match &key.dominator {
+        CanonicalDominator::Pure(rows) => rows.iter().any(|(_, c)| !c.is_zero()),
+        CanonicalDominator::Max { .. } => true,
     };
-    let dominator = match &key.dominator {
-        CanonicalDominator::Pure(rows) => rows_to_expr(rows),
-        CanonicalDominator::Max { terms, atoms } => {
-            let atom_exprs: Vec<Expr> = atoms
-                .iter()
-                .map(|atom| {
-                    let mut branches = atom.branches.iter().map(|b| rows_to_expr(b));
-                    // lint:allow(unwrap-expect): canonical atoms always carry at least one branch
-                    let first = branches.next().expect("atom has at least one branch");
-                    branches.fold(
-                        first,
-                        |acc, b| {
-                            if atom.is_min {
-                                acc.min(b)
-                            } else {
-                                acc.max(b)
-                            }
-                        },
-                    )
-                })
-                .collect();
-            Expr::sum(terms.iter().map(|(exps, coeff, atom_ids)| {
-                let mut term = monomial(exps, *coeff, &vars);
-                for &j in atom_ids {
-                    term = term.mul(atom_exprs[j as usize].clone());
-                }
-                term
-            }))
-        }
-    };
-    let objective = rows_to_expr(&key.objective);
-    AccessModel {
-        name: "canonical".to_string(),
-        tile_variables: vars,
-        objective,
-        dominator,
-        access_index_sets: vec![],
-    }
+    let (objective, dominator) = canonical_compiled_forms(key);
+    let problem = ConstrainedProduct::from_compiled(objective, dominator);
+    fit_intensity("canonical", &vars, has_inputs, &[], |x, warm| {
+        problem.solve(x, warm, deadline)
+    })
 }
 
 /// The compiled forms of a key's canonical model, assembled directly from
@@ -1091,20 +1038,6 @@ fn canonical_compiled_forms(key: &CanonicalKey) -> (CompiledPosynomial, Compiled
         }
     };
     (objective, dominator)
-}
-
-/// `coeff · Π vars[t]^exps[t]` as an [`Expr`] (one simplification pass, not
-/// one per factor — the reconstruction runs once per cache miss but bert-size
-/// models have thousands of factors).
-fn monomial(exps: &[i16], coeff: Rational, vars: &[String]) -> Expr {
-    Expr::product(
-        std::iter::once(Expr::num(coeff)).chain(
-            vars.iter()
-                .zip(exps)
-                .filter(|&(_, &e)| e != 0)
-                .map(|(v, &e)| Expr::sym(v).pow(Rational::int(i128::from(e)))),
-        ),
-    )
 }
 
 /// Canonicalize one solve outcome for storage: tile data re-indexed by
@@ -1317,7 +1250,7 @@ mod tests {
         let first = cache.solve(&union_model("first", ["i", "j", "k"])).unwrap();
         let renamed = union_model("renamed", ["c", "a", "b"]);
         let hit = cache.solve(&renamed).unwrap();
-        let direct = solve_model(&renamed, None, None).0.unwrap();
+        let direct = solve_model(&renamed, None).0.unwrap();
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
@@ -1343,6 +1276,22 @@ mod tests {
         let cache = SolveCache::new();
         let _ = cache.solve(&model);
         assert_eq!(cache.stats().uncacheable, 1);
+    }
+
+    #[test]
+    fn models_outside_posynomial_form_are_uncacheable_failures() {
+        let mut model = mmm_model("sqrt", ["i", "j", "k"]);
+        model.dominator = model.dominator.sqrt();
+        assert!(canonicalize(&model).is_none());
+        let cache = SolveCache::new();
+        let cached = cache.solve(&model).unwrap_err();
+        assert!(
+            matches!(cached, AnalysisError::NumericalFailure(_)),
+            "{cached:?}"
+        );
+        assert_eq!(cached, solve_model(&model, None).0.unwrap_err());
+        let stats = cache.stats();
+        assert_eq!((stats.uncacheable, stats.misses, stats.hits), (1, 0, 0));
     }
 
     #[test]
@@ -1516,7 +1465,7 @@ mod tests {
         let session = governed_cache.session(Some(Deadline::never()));
         let governed = session.solve(&mmm_model("m", ["i", "j", "k"])).unwrap();
         drop(session);
-        let direct = solve_model(&mmm_model("m", ["i", "j", "k"]), None, None)
+        let direct = solve_model(&mmm_model("m", ["i", "j", "k"]), None)
             .0
             .unwrap();
         assert_eq!(governed.sigma, direct.sigma);
@@ -1531,7 +1480,7 @@ mod tests {
         let first = cache.solve(&mmm_model("first", ["i", "j", "k"])).unwrap();
         let renamed = mmm_model("renamed", ["c", "a", "b"]);
         let hit = cache.solve(&renamed).unwrap();
-        let direct = solve_model(&renamed, None, None).0.unwrap();
+        let direct = solve_model(&renamed, None).0.unwrap();
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(hit.name, "renamed");

@@ -21,7 +21,7 @@ use soap_sdg::{
     analyze_suite, enumerate_connected_subgraphs, FaultPlan, Sdg, SdgOptions, SolveCache,
     SolveStore, SuiteProgram, DEFAULT_CACHE_SHARDS,
 };
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -106,18 +106,35 @@ fn assert_reconciled(analysis: &soap_sdg::ProgramAnalysis) {
     );
 }
 
-/// Fault-free reference dumps, name → dump.  The library reads no
-/// environment, so a stray `SOAP_FAULT_PLAN` cannot leak into a plain cache.
-fn baseline() -> Vec<(String, String)> {
-    let batch = analyze_suite(&jobs(), &SolveCache::new(), None, None);
+/// The bound of one analysis evaluated with every size parameter at 256 and
+/// S = 1024.
+fn bound_value(program: &soap_ir::Program, analysis: &soap_sdg::ProgramAnalysis) -> f64 {
+    let mut bindings: BTreeMap<String, f64> = program
+        .parameters()
+        .into_iter()
+        .map(|p| (p, 256.0))
+        .collect();
+    bindings.insert("S".to_string(), 1024.0);
+    analysis.bound_at(&bindings).unwrap_or(f64::NAN)
+}
+
+/// Fault-free reference runs: name, dump and bound value per program.  The
+/// library reads no environment, so a stray `SOAP_FAULT_PLAN` cannot leak
+/// into a plain cache.
+fn baseline() -> Vec<(String, String, f64)> {
+    let jobs = jobs();
+    let batch = analyze_suite(&jobs, &SolveCache::new(), None, None);
     assert_eq!(batch.summary.failures, 0);
     batch
         .reports
         .iter()
-        .map(|r| {
+        .zip(&jobs)
+        .map(|(r, job)| {
+            let analysis = r.outcome.as_ref().expect("fault-free analysis succeeds");
             (
                 r.name.clone(),
-                dump(r.outcome.as_ref().expect("fault-free analysis succeeds")),
+                dump(analysis),
+                bound_value(&job.program, analysis),
             )
         })
         .collect()
@@ -126,12 +143,23 @@ fn baseline() -> Vec<(String, String)> {
 #[test]
 fn injected_panics_stay_isolated_and_accounting_reconciles() {
     let reference = baseline();
-    let plan = FaultPlan {
-        seed: 42,
-        panic_every: 5,
-        ..FaultPlan::default()
-    };
+    for (seed, panic_every) in [(42, 5), (1, 3)] {
+        let plan = FaultPlan {
+            seed,
+            panic_every,
+            ..FaultPlan::default()
+        };
+        assert_panics_stay_isolated(plan, &reference);
+    }
+}
 
+/// Run the registry under a panic plan: no program aborts, the accounting
+/// reconciles, unaffected programs are byte-identical to the fault-free
+/// run, and every affected program is degraded with a bound no larger than
+/// its fault-free bound (a panicked subgraph is a missing Theorem-1
+/// candidate, which must never raise the bound).
+fn assert_panics_stay_isolated(plan: FaultPlan, reference: &[(String, String, f64)]) {
+    let tag = format!("seed {} / panic_every {}", plan.seed, plan.panic_every);
     // Predict the hit set from outside the pipeline: a program is affected
     // iff one of its enumerated subgraphs hashes onto the panic set.
     let jobs = jobs();
@@ -149,8 +177,7 @@ fn injected_panics_stay_isolated_and_accounting_reconciles() {
         .collect();
     assert!(
         !affected.is_empty() && affected.len() < jobs.len(),
-        "seed 42 / panic_every 5 must hit a strict, non-empty subset of the registry \
-         (hit {} of {})",
+        "{tag} must hit a strict, non-empty subset of the registry (hit {} of {})",
         affected.len(),
         jobs.len()
     );
@@ -162,24 +189,35 @@ fn injected_panics_stay_isolated_and_accounting_reconciles() {
     assert_eq!(batch.summary.failures, 0);
     assert_eq!(batch.summary.programs, jobs.len());
 
-    for ((name, expected), report) in reference.iter().zip(&batch.reports) {
+    for (((name, expected, full_bound), report), job) in
+        reference.iter().zip(&batch.reports).zip(&jobs)
+    {
         assert_eq!(name, &report.name);
         let analysis = report.outcome.as_ref().expect("no program aborts");
         assert_reconciled(analysis);
         if affected.contains(name) {
             assert!(
                 analysis.solver.panic_failures > 0,
-                "{name}: predicted a panic hit but none was recorded"
+                "{tag}: {name}: predicted a panic hit but none was recorded"
+            );
+            assert!(
+                analysis.degraded,
+                "{tag}: {name}: a panicked subgraph must degrade the analysis"
+            );
+            let bound = bound_value(&job.program, analysis);
+            assert!(
+                bound <= full_bound * (1.0 + 1e-9) + 1e-9,
+                "{tag}: {name}: bound {bound} exceeds the fault-free bound {full_bound}"
             );
         } else {
             assert_eq!(
                 analysis.solver.panic_failures, 0,
-                "{name}: predicted fault-free but a panic was recorded"
+                "{tag}: {name}: predicted fault-free but a panic was recorded"
             );
             assert_eq!(
                 expected,
                 &dump(analysis),
-                "{name}: unaffected program diverged from the fault-free run"
+                "{tag}: {name}: unaffected program diverged from the fault-free run"
             );
         }
     }

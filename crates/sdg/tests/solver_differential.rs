@@ -1,13 +1,16 @@
 //! Differential tests pinning the compiled solver path (analytic gradients,
-//! Newton projection, canonical-key cache) against the retained `Expr`-eval
-//! reference: for every merged subgraph model of a set of representative
+//! Newton projection, canonical-key cache) against the `Expr`-eval reference
+//! solver of the test support: for every merged subgraph model of a set of
+//! representative
 //! programs, the *analysis outputs* — σ, the symbolic intensity ρ(S), X₀ and
 //! the tile-shape exponents — must be byte-identical between the two paths
 //! (the numeric trajectories differ in the last ulps; the rational/closed-form
 //! snapping must absorb that entirely), and the whole-program bound must be
 //! byte-identical run-to-run with the cache in play.
 
-use soap_core::{solve_model, solve_model_reference, AnalysisOptions};
+use soap_core::{
+    fit_intensity, solve_model, AccessModel, AnalysisError, AnalysisOptions, IntensityResult,
+};
 use soap_ir::{Program, ProgramBuilder};
 use soap_sdg::subgraphs::enumerate_connected_subgraphs;
 use soap_sdg::{analyze_program, merged_model, Sdg, SdgOptions, SolveCache};
@@ -15,6 +18,25 @@ use soap_sdg::{analyze_program, merged_model, Sdg, SdgOptions, SolveCache};
 #[path = "common/fixtures.rs"]
 mod fixtures;
 use fixtures::chain_of_matmuls;
+
+#[path = "../../symbolic/tests/support/reference_solver.rs"]
+mod reference_solver;
+use reference_solver::ReferenceProblem;
+
+/// The whole model solve (checks, power-law fit, LP cross-check, tile
+/// shapes) over the `Expr`-eval reference KKT solver.
+fn solve_model_reference(model: &AccessModel) -> Result<IntensityResult, AnalysisError> {
+    let reference =
+        ReferenceProblem::new(&model.tile_variables, &model.objective, &model.dominator);
+    fit_intensity(
+        &model.name,
+        &model.tile_variables,
+        !model.dominator.is_zero(),
+        &model.access_index_sets,
+        |x, warm| Ok(reference.solve(x, warm)),
+    )
+    .0
+}
 
 fn atax() -> Program {
     ProgramBuilder::new("atax")
@@ -101,7 +123,7 @@ fn assert_models_differentially_identical(program: &Program) {
         let Ok(model) = merged_model(program, arrays, &opts) else {
             continue;
         };
-        let fast = solve_model(&model, None, None).0;
+        let fast = solve_model(&model, None).0;
         let slow = solve_model_reference(&model);
         match (fast, slow) {
             (Ok(fast), Ok(slow)) => {

@@ -40,7 +40,7 @@ pub use expr::Expr;
 pub use intern::Symbol;
 pub use lp::LinearProgram;
 pub use opt::{
-    CompiledConstraint, ConstrainedProduct, PowerLaw, SolveInfo, KKT_ITERATION_CAP,
+    fit_power_law, CompiledConstraint, ConstrainedProduct, PowerLaw, SolveInfo, KKT_ITERATION_CAP,
     POWER_LAW_PROBES,
 };
 pub use poly::{Monomial, Polynomial};

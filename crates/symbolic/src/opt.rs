@@ -15,20 +15,27 @@
 //! `χ(X) = c·X^σ` recovers the constant and the exponent of the computational
 //! intensity `ρ = χ(X)/(X − S)`, whose minimizer `X₀ = σS/(σ−1)` is then known
 //! in closed form.
+//!
+//! `χ` and `g` are built from Lemma 1 and Lemma 3 / Corollary 1 terms, so they
+//! are posynomials, or max-posynomials where §5.1/§5.3 conservative unions
+//! add `max` atoms.  The solver runs on their compiled forms
+//! ([`crate::posy`]): analytic log-space gradients and Newton constraint
+//! projection.  There is no second solver: a model outside that form cannot
+//! be built into a [`ConstrainedProduct`], and the analysis reports it as a
+//! numerical failure.
 
 use crate::closed_form::ClosedForm;
 use crate::deadline::{Deadline, Expired};
 use crate::expr::Expr;
 use crate::posy::{CompiledPosynomial, MaxPosynomial, MaxScratch, TIE_REL_FLOOR};
 use crate::rational::Rational;
-use std::collections::BTreeMap;
 
 /// The hard per-solve KKT iteration budget; a solve that consumes the whole
 /// budget without meeting a convergence test is counted as a cap hit.
 pub const KKT_ITERATION_CAP: usize = 400;
 
 /// The `X` values of the three power-law probes run by
-/// [`ConstrainedProduct::fit_power_law`].  Public because the tile-shape fit
+/// [`fit_power_law`].  Public because the tile-shape fit
 /// in `soap-core` reuses the *last* probe's optimum as the second point of
 /// its two-point tile-exponent fit (no extra solve needed).
 pub const POWER_LAW_PROBES: [f64; 3] = [1.0e7, 4.0e7, 1.6e8];
@@ -44,19 +51,12 @@ const DEV_DEADBAND: f64 = 1e-7;
 /// deadline to well under a millisecond per solve.
 const DEADLINE_POLL_MASK: usize = 0xF;
 
-/// The compiled forms of a problem's objective and constraint.
-#[derive(Clone, Debug)]
-struct CompiledProblem {
-    objective: CompiledPosynomial,
-    constraint: CompiledConstraint,
-}
-
 /// A compiled dominator: pure posynomial when possible, otherwise the
 /// piecewise max-posynomial form (§5.1/§5.3 conservative unions).
 ///
-/// Public so the cross-subgraph solve cache (`soap-sdg`) can compile the
-/// dominator once for its canonical key and hand the result straight to
-/// [`ConstrainedProduct::from_compiled`] instead of compiling twice.
+/// Public so the cross-subgraph solve cache (`soap-sdg`) can compile a
+/// dominator for its canonical key, and assemble the canonical model's
+/// dominator for [`ConstrainedProduct::from_compiled`].
 #[derive(Clone, Debug)]
 pub enum CompiledConstraint {
     /// A pure posynomial dominator.
@@ -84,7 +84,7 @@ impl CompiledConstraint {
     }
 
     /// Whether this is the piecewise max-posynomial form.
-    pub fn is_max_form(&self) -> bool {
+    fn is_max_form(&self) -> bool {
         matches!(self, CompiledConstraint::Mixed(_))
     }
 
@@ -161,25 +161,24 @@ impl CompiledConstraint {
     }
 }
 
-/// A constrained product-maximization problem over tile extents.
+/// A constrained product-maximization problem over tile extents, held as the
+/// compiled posynomial forms of its objective `χ(D)` and constraint `g(D)`
+/// (the constraint is `g(D) ≤ X`).
+///
+/// The compiled KKT loop is the only solver: a problem whose sides are
+/// outside (max-)posynomial form cannot be built ([`Self::new`] returns
+/// `None`), and the caller reports it as a numerical failure instead of
+/// running a second algorithm.
 #[derive(Clone, Debug)]
 pub struct ConstrainedProduct {
-    /// Names of the tile-extent variables `D_t` (one per iteration variable).
-    pub variables: Vec<String>,
-    /// The objective `χ(D)` (number of computed vertices).
-    pub objective: Expr,
-    /// The constraint function `g(D)` (dominator-set size); the constraint is
-    /// `g(D) ≤ X`.
-    pub constraint: Expr,
-    /// Both sides compiled to posynomial form, when possible; `None` falls
-    /// back to the retained `Expr`-eval path (e.g. `Max` in the dominator).
-    compiled: Option<CompiledProblem>,
+    objective: CompiledPosynomial,
+    constraint: CompiledConstraint,
 }
 
 /// Result of solving a [`ConstrainedProduct`] at a specific `X`.
 #[derive(Clone, Debug)]
 pub struct ProductSolution {
-    /// Optimal tile extents in the order of [`ConstrainedProduct::variables`].
+    /// Optimal tile extents, one per problem variable.
     pub extents: Vec<f64>,
     /// The objective value `χ(X)`.
     pub chi: f64,
@@ -197,8 +196,7 @@ pub struct PowerLaw {
 }
 
 /// Per-call accounting returned by [`ConstrainedProduct::solve`] and
-/// [`ConstrainedProduct::fit_power_law`], aggregated over one or more KKT
-/// solves.
+/// [`fit_power_law`], aggregated over one or more KKT solves.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveInfo {
     /// KKT solves performed.
@@ -222,124 +220,26 @@ impl SolveInfo {
 }
 
 impl ConstrainedProduct {
-    /// Build a problem from the variable list, objective and constraint.
+    /// Compile a problem from the variable list, objective and constraint.
     ///
-    /// Both expressions are compiled once into posynomial form here; every
-    /// subsequent [`Self::solve`] (the three `fit_power_law` probes plus the
-    /// tile-shape solve) reuses the compiled arrays.
-    pub fn new(variables: Vec<String>, objective: Expr, constraint: Expr) -> Self {
-        let compiled = match (
-            CompiledPosynomial::compile(&objective, &variables),
-            CompiledConstraint::compile(&constraint, &variables),
-        ) {
-            (Some(obj), Some(con)) => Some(CompiledProblem {
-                objective: obj,
-                constraint: con,
-            }),
-            _ => None,
-        };
-        ConstrainedProduct {
-            variables,
-            objective,
-            constraint,
-            compiled,
-        }
+    /// Both expressions are compiled once here; every subsequent
+    /// [`Self::solve`] (the three power-law probes plus the tile-shape solve)
+    /// reuses the compiled arrays.  Returns `None` when either side is
+    /// outside (max-)posynomial form.
+    pub fn new(variables: &[String], objective: &Expr, constraint: &Expr) -> Option<Self> {
+        Some(ConstrainedProduct {
+            objective: CompiledPosynomial::compile(objective, variables)?,
+            constraint: CompiledConstraint::compile(constraint, variables)?,
+        })
     }
 
     /// Build a problem from forms that were already compiled elsewhere (the
-    /// cross-subgraph solve cache compiles both sides for its canonical key),
-    /// skipping the duplicate expansion/compilation of [`Self::new`].
-    ///
-    /// The caller must pass the compiled forms of exactly `objective` /
-    /// `constraint` over `variables`; the solve runs on the compiled arrays,
-    /// so a mismatch would silently solve the wrong problem.
-    pub fn from_compiled(
-        variables: Vec<String>,
-        objective: Expr,
-        constraint: Expr,
-        compiled_objective: CompiledPosynomial,
-        compiled_constraint: CompiledConstraint,
-    ) -> Self {
-        debug_assert_eq!(compiled_objective.n_vars(), variables.len());
+    /// cross-subgraph solve cache assembles them from its canonical key).
+    /// Both must range over the same variables.
+    pub fn from_compiled(objective: CompiledPosynomial, constraint: CompiledConstraint) -> Self {
         ConstrainedProduct {
-            variables,
             objective,
             constraint,
-            compiled: Some(CompiledProblem {
-                objective: compiled_objective,
-                constraint: compiled_constraint,
-            }),
-        }
-    }
-
-    /// Build a problem that never uses the compiled fast path — the retained
-    /// reference configuration for differential testing.
-    pub fn new_reference(variables: Vec<String>, objective: Expr, constraint: Expr) -> Self {
-        ConstrainedProduct {
-            variables,
-            objective,
-            constraint,
-            compiled: None,
-        }
-    }
-
-    /// Whether the compiled-posynomial fast path is available.
-    pub fn is_compiled(&self) -> bool {
-        self.compiled.is_some()
-    }
-
-    fn eval(&self, e: &Expr, extents: &[f64]) -> f64 {
-        let mut bindings = BTreeMap::new();
-        for (name, v) in self.variables.iter().zip(extents) {
-            bindings.insert(name.clone(), *v);
-        }
-        e.eval(&bindings).unwrap_or(f64::NAN)
-    }
-
-    /// Numeric partial derivative of `e` w.r.t. variable index `t`
-    /// (central difference in log-space for robustness).
-    fn d_dlog(&self, e: &Expr, extents: &[f64], t: usize) -> f64 {
-        let h: f64 = 1e-5;
-        let mut up = extents.to_vec();
-        let mut dn = extents.to_vec();
-        up[t] *= (h).exp();
-        dn[t] *= (-h).exp();
-        (self.eval(e, &up) - self.eval(e, &dn)) / (2.0 * h)
-    }
-
-    /// Scale all *unclamped* extents by a common factor so that the constraint
-    /// is active (`g(D) = x`), using bisection on the log of the factor.
-    fn rescale_to_constraint(&self, extents: &mut [f64], x: f64, clamped: &[bool]) {
-        let g = |scale: f64, base: &[f64]| -> f64 {
-            let scaled: Vec<f64> = base
-                .iter()
-                .zip(clamped)
-                .map(|(v, c)| if *c { *v } else { (v * scale).max(1.0) })
-                .collect();
-            self.eval(&self.constraint, &scaled)
-        };
-        let base = extents.to_vec();
-        let (mut lo, mut hi) = (1e-9_f64, 1e9_f64);
-        // The constraint is increasing in the scale; find the active point.
-        if g(hi, &base) < x {
-            // Constraint can never reach X (all variables effectively capped):
-            // leave as-is.
-            return;
-        }
-        for _ in 0..200 {
-            let mid = (lo.ln() + hi.ln()) / 2.0;
-            let mid = mid.exp();
-            if g(mid, &base) > x {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        let scale = (lo * hi).sqrt();
-        for (v, c) in extents.iter_mut().zip(clamped) {
-            if !*c {
-                *v = (*v * scale).max(1.0);
-            }
         }
     }
 
@@ -350,10 +250,6 @@ impl ConstrainedProduct {
     /// "benefit/cost" ratios `(D_t ∂χ/∂D_t) / (D_t ∂g/∂D_t)` to be equal; the
     /// iteration nudges each `log D_t` towards the geometric mean of these
     /// ratios and re-projects onto the active constraint.
-    ///
-    /// Dispatches to the compiled-posynomial fast path (analytic gradients,
-    /// Newton constraint projection) when compilation succeeded at
-    /// construction; the `Expr`-eval reference path otherwise.
     ///
     /// `warm` is a warm-start shape: the iteration begins from it (projected
     /// back onto the constraint) instead of the symmetric cold start.  The
@@ -376,15 +272,7 @@ impl ConstrainedProduct {
         warm: Option<&[f64]>,
         deadline: Option<&Deadline>,
     ) -> Result<(ProductSolution, SolveInfo), Expired> {
-        let max_form = self
-            .compiled
-            .as_ref()
-            .is_some_and(|c| c.constraint.is_max_form());
-        let run = |start: Option<&[f64]>| match &self.compiled {
-            Some(c) => self.solve_compiled(c, x, start, deadline),
-            None => self.solve_reference_impl(x, start, deadline),
-        };
-        let (mut sol, mut iterations, mut capped) = run(warm)?;
+        let (mut sol, mut iterations, mut capped) = self.kkt(x, warm, deadline)?;
         if capped {
             // Continuation restart: a cold start that exhausted the budget
             // mid-travel usually converges in a few dozen iterations when
@@ -393,7 +281,7 @@ impl ConstrainedProduct {
             // counts as converged if the iterate actually returned is the
             // restart's converged one — falling back to the first leg's
             // better-but-capped iterate keeps the cap hit.
-            let (sol2, it2, capped2) = run(Some(&sol.extents))?;
+            let (sol2, it2, capped2) = self.kkt(x, Some(&sol.extents), deadline)?;
             iterations += it2;
             if sol2.chi >= sol.chi {
                 sol = sol2;
@@ -404,143 +292,15 @@ impl ConstrainedProduct {
             solves: 1,
             iterations,
             cap_hits: u32::from(capped),
-            max_form,
+            max_form: self.constraint.is_max_form(),
         };
         Ok((sol, info))
     }
 
-    /// The retained `Expr`-eval solver — finite-difference gradients and
-    /// bisection constraint projection, numerically independent of the
-    /// compiled arrays — kept as the differential-testing reference and the
-    /// fallback for models outside (max-)posynomial form.
-    ///
-    /// Both paths share the same *stepping policy* (sign-based trust-region
-    /// steps, rescale-rider variables, objective-stagnation convergence) so
-    /// their snapped outputs stay byte-identical; everything numeric under
-    /// that policy (evaluation, gradients, projection) is computed by
-    /// entirely different machinery.
-    pub fn solve_reference(&self, x: f64) -> ProductSolution {
-        let (sol, _, _) = self
-            .solve_reference_impl(x, None, None)
-            // lint:allow(unwrap-expect): no deadline is passed, so the solve cannot expire
-            .expect("ungoverned solve cannot expire");
-        sol
-    }
-
-    fn solve_reference_impl(
-        &self,
-        x: f64,
-        warm: Option<&[f64]>,
-        deadline: Option<&Deadline>,
-    ) -> Result<(ProductSolution, u64, bool), Expired> {
-        let n = self.variables.len();
-        assert!(n > 0, "constrained product needs at least one variable");
-        // Initial guess: the warm-start shape when given, otherwise equal
-        // extents sized so the constraint is roughly met.
-        let mut extents = match warm {
-            Some(w) => w.iter().map(|v| v.max(1.0)).collect(),
-            None => vec![x.powf(1.0 / n as f64).max(1.0); n],
-        };
-        let mut clamped = vec![false; n];
-        self.rescale_to_constraint(&mut extents, x, &clamped);
-        // Rescale-rider detection from the expression structure (the
-        // compiled path reads the same fact off the exponent matrices).
-        let constraint_syms = self.constraint.symbols();
-        let in_constraint: Vec<bool> = self
-            .variables
-            .iter()
-            .map(|v| constraint_syms.contains(v))
-            .collect();
-
-        let mut best = (f64::NEG_INFINITY, extents.clone());
-        let mut iters_done = 0u64;
-        let mut converged = false;
-        let mut radius = vec![0.1f64; n];
-        let mut prev_dev = vec![0.0f64; n];
-        let mut best_improved_iter = 0usize;
-        for iter in 0..KKT_ITERATION_CAP {
-            if iter & DEADLINE_POLL_MASK == 0 && deadline.is_some_and(|d| d.expired()) {
-                return Err(Expired);
-            }
-            iters_done += 1;
-            // Benefit/cost ratios in log space.
-            let mut log_ratio = vec![0.0; n];
-            let mut n_active = 0usize;
-            let mut ratio_sum = 0.0;
-            for t in 0..n {
-                if !in_constraint[t] {
-                    clamped[t] = false;
-                    log_ratio[t] = 0.0;
-                    continue;
-                }
-                let num = self.d_dlog(&self.objective, &extents, t).max(1e-300);
-                let den = self.d_dlog(&self.constraint, &extents, t).max(1e-300);
-                log_ratio[t] = (num / den).ln();
-                let at_box = extents[t] <= 1.0 + 1e-9;
-                clamped[t] = at_box && log_ratio[t] < 0.0;
-                if !clamped[t] {
-                    n_active += 1;
-                    ratio_sum += log_ratio[t];
-                }
-            }
-            if n_active == 0 {
-                converged = true;
-                break;
-            }
-            let mean = ratio_sum / n_active as f64;
-            let mut max_dev: f64 = 0.0;
-            let mut applied_max: f64 = 0.0;
-            for t in 0..n {
-                if clamped[t] || !in_constraint[t] {
-                    prev_dev[t] = 0.0;
-                    continue;
-                }
-                let dev = log_ratio[t] - mean;
-                max_dev = max_dev.max(dev.abs());
-                // Deadband: a deviation at gradient-noise level must not
-                // trigger a radius-sized step (it would kick a converged
-                // symmetric iterate off the optimum).
-                if dev.abs() < DEV_DEADBAND {
-                    prev_dev[t] = 0.0;
-                    continue;
-                }
-                if dev * prev_dev[t] > 0.0 {
-                    radius[t] = (radius[t] * 1.2).min(0.35);
-                } else if dev * prev_dev[t] < 0.0 {
-                    radius[t] *= 0.7;
-                }
-                prev_dev[t] = dev;
-                let step = dev.signum() * radius[t];
-                applied_max = applied_max.max(step.abs());
-                extents[t] = (extents[t] * step.exp()).max(1.0);
-            }
-            self.rescale_to_constraint(&mut extents, x, &clamped);
-            let chi = self.eval(&self.objective, &extents);
-            if chi > best.0 {
-                if chi > best.0 * (1.0 + 1e-7) {
-                    best_improved_iter = iter;
-                }
-                best = (chi, extents.clone());
-            }
-            if max_dev < DEV_DEADBAND || applied_max < 1e-10 || iter >= best_improved_iter + 30 {
-                converged = true;
-                break;
-            }
-        }
-        let extents = best.1;
-        let sol = ProductSolution {
-            chi: self.eval(&self.objective, &extents),
-            constraint_value: self.eval(&self.constraint, &extents),
-            extents,
-        };
-        Ok((sol, iters_done, !converged))
-    }
-
-    /// The compiled fast path: the same damped multiplicative KKT fixed point
-    /// as [`Self::solve_reference`], but with the objective/constraint term
-    /// values computed once per iteration and shared across all `n` analytic
-    /// log-space partial derivatives, and with the constraint projection done
-    /// by safeguarded Newton on `log g` instead of 200-step bisection.
+    /// One leg of the KKT fixed point: the objective/constraint term values
+    /// are computed once per iteration and shared across all `n` analytic
+    /// log-space partial derivatives, and the constraint projection is done
+    /// by safeguarded Newton on `log g`.
     ///
     /// Stepping is a sign-based trust region (see the loop comments): each
     /// variable moves by the sign of its ratio deviation times a per-variable
@@ -552,14 +312,13 @@ impl ConstrainedProduct {
     /// [`MaxPosynomial`]'s branch averaging from 25% down to the exact
     /// subgradient — a Polyak-style smoothing that keeps the surrogate
     /// smooth while the iterates travel.
-    fn solve_compiled(
+    fn kkt(
         &self,
-        c: &CompiledProblem,
         x: f64,
         warm: Option<&[f64]>,
         deadline: Option<&Deadline>,
     ) -> Result<(ProductSolution, u64, bool), Expired> {
-        let n = self.variables.len();
+        let n = self.objective.n_vars();
         assert!(n > 0, "constrained product needs at least one variable");
         let mut extents: Vec<f64> = match warm {
             Some(w) => w.iter().map(|v| v.max(1.0)).collect(),
@@ -568,14 +327,14 @@ impl ConstrainedProduct {
         let mut clamped = vec![false; n];
         // Scratch buffers reused across iterations — the solve allocates a
         // fixed set of vectors up front and nothing inside the loop.
-        let mut obj_terms = vec![0.0; c.objective.n_terms()];
+        let mut obj_terms = vec![0.0; self.objective.n_terms()];
         let mut d_obj = vec![0.0; n];
         let mut d_con = vec![0.0; n];
         let mut log_ratio = vec![0.0; n];
         let mut scaled = vec![0.0; n];
         let mut scratch = ConstraintScratch::default();
         rescale_newton(
-            &c.constraint,
+            &self.constraint,
             &mut extents,
             x,
             &clamped,
@@ -583,7 +342,7 @@ impl ConstrainedProduct {
             &mut scratch,
         );
 
-        let max_form = c.constraint.is_max_form();
+        let max_form = self.constraint.is_max_form();
         let mut best = (f64::NEG_INFINITY, extents.clone());
         let mut iters_done = 0u64;
         let mut converged = false;
@@ -601,10 +360,9 @@ impl ConstrainedProduct {
         // ratio (the objective is unbounded along them — degenerate merged
         // models produce these); stepping them chases an artifact.  They are
         // excluded from the KKT ratios and simply ride the common rescale
-        // factor, exactly what they do on the reference path where the huge
-        // clamped ratio is immediately undone by the bisection projection.
+        // factor.
         let mut in_constraint = vec![false; n];
-        c.constraint.mark_occurring_vars(&mut in_constraint);
+        self.constraint.mark_occurring_vars(&mut in_constraint);
         for iter in 0..KKT_ITERATION_CAP {
             if iter & DEADLINE_POLL_MASK == 0 && deadline.is_some_and(|d| d.expired()) {
                 return Err(Expired);
@@ -614,9 +372,10 @@ impl ConstrainedProduct {
                 scratch.max.set_tie_window(tie_window);
                 tie_window = (tie_window * 0.85).max(TIE_REL_FLOOR);
             }
-            c.objective.eval_terms(&extents, &mut obj_terms);
-            c.objective.grad_log_from_terms(&obj_terms, &mut d_obj);
-            c.constraint.eval_grad(&extents, &mut d_con, &mut scratch);
+            self.objective.eval_terms(&extents, &mut obj_terms);
+            self.objective.grad_log_from_terms(&obj_terms, &mut d_obj);
+            self.constraint
+                .eval_grad(&extents, &mut d_con, &mut scratch);
             let mut n_active = 0usize;
             let mut ratio_sum = 0.0;
             for t in 0..n {
@@ -683,14 +442,14 @@ impl ConstrainedProduct {
                 extents[t] = (extents[t] * step.exp()).max(1.0);
             }
             rescale_newton(
-                &c.constraint,
+                &self.constraint,
                 &mut extents,
                 x,
                 &clamped,
                 &mut scaled,
                 &mut scratch,
             );
-            let chi = c.objective.eval(&extents);
+            let chi = self.objective.eval(&extents);
             if chi > best.0 {
                 if chi > best.0 * (1.0 + 1e-7) {
                     best_improved_iter = iter;
@@ -725,66 +484,61 @@ impl ConstrainedProduct {
         }
         let extents = best.1;
         let sol = ProductSolution {
-            chi: c.objective.eval(&extents),
-            constraint_value: c.constraint.eval(&extents, &mut scratch),
+            chi: self.objective.eval(&extents),
+            constraint_value: self.constraint.eval(&extents, &mut scratch),
             extents,
         };
         Ok((sol, iters_done, !converged))
     }
+}
 
-    /// Fit `χ(X) = c·X^σ` by solving at several large `X` values.
-    ///
-    /// The exponent is rationalized (denominator ≤ 12) because the theory
-    /// guarantees σ is a small rational (an LP optimum over unit constraints).
-    /// Also returns the aggregated accounting of the probe solves and the
-    /// final probe's optimal extents (callers reuse them to warm-start the
-    /// tile-shape solve).
-    ///
-    /// The probes warm-start each other: the `4X` problem continues from the
-    /// `X` optimum, which keeps all three in the same basin of the
-    /// multi-extremal objective and removes the repeated travel phase.
-    /// Returns [`Expired`] as soon as any probe solve runs out of `deadline`
-    /// (a partial probe set cannot produce a trustworthy exponent fit).
-    pub fn fit_power_law(
-        &self,
-        deadline: Option<&Deadline>,
-    ) -> Result<(PowerLaw, SolveInfo, Vec<f64>), Expired> {
-        let mut info = SolveInfo::default();
-        let xs = POWER_LAW_PROBES;
-        let mut warm: Option<Vec<f64>> = None;
-        let mut chis = Vec::with_capacity(xs.len());
-        for &x in &xs {
-            let (sol, i) = self.solve(x, warm.as_deref(), deadline)?;
-            info.absorb(i);
-            chis.push(sol.chi);
-            warm = Some(sol.extents);
-        }
-        let sigma_12 = (chis[1] / chis[0]).ln() / (xs[1] / xs[0]).ln();
-        let sigma_23 = (chis[2] / chis[1]).ln() / (xs[2] / xs[1]).ln();
-        let sigma_est = (sigma_12 + sigma_23) / 2.0;
-        let exponent = Rational::approximate(sigma_est, 12, 0.02)
-            .unwrap_or_else(|| Rational::approximate(sigma_est, 48, 0.05).unwrap_or(Rational::ONE));
-        // The finite-X estimates carry an O(X^{-1/2}) error from the Lemma-3
-        // surface terms; Richardson extrapolation over the last two samples
-        // (X ratio 4, so the error halves) cancels it to first order.
-        let c2 = chis[1] / xs[1].powf(exponent.to_f64());
-        let c3 = chis[2] / xs[2].powf(exponent.to_f64());
-        let coeff = 2.0 * c3 - c2;
-        Ok((
-            PowerLaw { coeff, exponent },
-            info,
-            // lint:allow(unwrap-expect): the probe loop above always runs and sets warm
-            warm.expect("three probes ran"),
-        ))
+/// Fit `χ(X) = c·X^σ` by running the KKT solve `kkt(x, warm)` at several
+/// large `X` values.
+///
+/// The exponent is rationalized (denominator ≤ 12) because the theory
+/// guarantees σ is a small rational (an LP optimum over unit constraints).
+/// Also returns the aggregated accounting of the probe solves and the final
+/// probe's optimal extents (callers reuse them to warm-start the tile-shape
+/// solve).
+///
+/// The probes warm-start each other: the `4X` problem continues from the `X`
+/// optimum, which keeps all three in the same basin of the multi-extremal
+/// objective and removes the repeated travel phase.  Returns [`Expired`] as
+/// soon as any probe solve does (a partial probe set cannot produce a
+/// trustworthy exponent fit).
+pub fn fit_power_law(
+    mut kkt: impl FnMut(f64, Option<&[f64]>) -> Result<(ProductSolution, SolveInfo), Expired>,
+) -> Result<(PowerLaw, SolveInfo, Vec<f64>), Expired> {
+    let mut info = SolveInfo::default();
+    let xs = POWER_LAW_PROBES;
+    let mut warm: Option<Vec<f64>> = None;
+    let mut chis = Vec::with_capacity(xs.len());
+    for &x in &xs {
+        let (sol, i) = kkt(x, warm.as_deref())?;
+        info.absorb(i);
+        chis.push(sol.chi);
+        warm = Some(sol.extents);
     }
+    let sigma_12 = (chis[1] / chis[0]).ln() / (xs[1] / xs[0]).ln();
+    let sigma_23 = (chis[2] / chis[1]).ln() / (xs[2] / xs[1]).ln();
+    let sigma_est = (sigma_12 + sigma_23) / 2.0;
+    let exponent = Rational::approximate(sigma_est, 12, 0.02)
+        .unwrap_or_else(|| Rational::approximate(sigma_est, 48, 0.05).unwrap_or(Rational::ONE));
+    // The finite-X estimates carry an O(X^{-1/2}) error from the Lemma-3
+    // surface terms; Richardson extrapolation over the last two samples
+    // (X ratio 4, so the error halves) cancels it to first order.
+    let c2 = chis[1] / xs[1].powf(exponent.to_f64());
+    let c3 = chis[2] / xs[2].powf(exponent.to_f64());
+    let coeff = 2.0 * c3 - c2;
+    Ok((
+        PowerLaw { coeff, exponent },
+        info,
+        // lint:allow(unwrap-expect): the probe loop above always runs and sets warm
+        warm.expect("three probes ran"),
+    ))
 }
 
 impl PowerLaw {
-    /// The exponent as f64.
-    pub fn sigma(&self) -> f64 {
-        self.exponent.to_f64()
-    }
-
     /// The optimal `X₀ = σ·S/(σ−1)` minimizing `ρ(X) = c·X^σ/(X−S)`, as an
     /// expression in the symbol `S`.  Returns `None` when σ ≤ 1 (the optimum
     /// is at `X → ∞`).
@@ -815,39 +569,14 @@ impl PowerLaw {
         let const_expr = ClosedForm::recognize(constant).to_expr();
         const_expr.mul(Expr::sym("S").pow(sigma - Rational::ONE))
     }
-
-    /// Numeric intensity for a concrete fast-memory size `S`, computed by
-    /// golden-section minimization of `c·X^σ/(X−S)` (useful for validating the
-    /// closed form and for pebbling comparisons at small S).
-    pub fn intensity_at(&self, s: f64) -> f64 {
-        let sigma = self.sigma();
-        if sigma <= 1.0 {
-            return self.coeff;
-        }
-        let rho = |x: f64| self.coeff * x.powf(sigma) / (x - s);
-        // Golden-section search on [S(1+ε), 1000·S·σ].
-        let (mut a, mut b) = (s * 1.0001, s * sigma / (sigma - 1.0) * 50.0);
-        let phi = (5.0_f64.sqrt() - 1.0) / 2.0;
-        for _ in 0..200 {
-            let c = b - phi * (b - a);
-            let d = a + phi * (b - a);
-            if rho(c) < rho(d) {
-                b = d;
-            } else {
-                a = c;
-            }
-        }
-        rho((a + b) / 2.0)
-    }
 }
 
 /// Scale all *unclamped* extents by a common factor so the compiled
 /// constraint is active (`g(D) = x`): safeguarded Newton on `log g` as a
-/// function of the log-scale, replacing the reference path's 200-step
-/// bisection.  `log g` is near-linear in the log-scale (each term scales like
-/// `e^{deg·s}`), so Newton converges in a handful of iterations; every step
-/// stays inside a shrinking bisection bracket for robustness, and the
-/// `max(·, 1)` box clamp is honoured exactly like the reference.
+/// function of the log-scale.  `log g` is near-linear in the log-scale (each
+/// term scales like `e^{deg·s}`), so Newton converges in a handful of
+/// iterations; every step stays inside a shrinking bisection bracket for
+/// robustness, and extents never drop below the `max(·, 1)` box.
 fn rescale_newton(
     con: &CompiledConstraint,
     extents: &mut [f64],
@@ -907,26 +636,10 @@ fn rescale_newton(
     extents.copy_from_slice(scaled);
 }
 
-/// Minimize a univariate function by golden-section search on `[lo, hi]`.
-pub fn golden_section_min(f: impl Fn(f64) -> f64, lo: f64, hi: f64, iters: usize) -> (f64, f64) {
-    let phi = (5.0_f64.sqrt() - 1.0) / 2.0;
-    let (mut a, mut b) = (lo, hi);
-    for _ in 0..iters {
-        let c = b - phi * (b - a);
-        let d = a + phi * (b - a);
-        if f(c) < f(d) {
-            b = d;
-        } else {
-            a = c;
-        }
-    }
-    let x = (a + b) / 2.0;
-    (x, f(x))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn d(name: &str) -> Expr {
         Expr::sym(name)
@@ -939,7 +652,12 @@ mod tests {
 
     /// An ungoverned power-law fit.
     fn fit(p: &ConstrainedProduct) -> PowerLaw {
-        p.fit_power_law(None).unwrap().0
+        fit_power_law(|x, warm| p.solve(x, warm, None)).unwrap().0
+    }
+
+    fn problem(variables: &[&str], objective: Expr, constraint: Expr) -> ConstrainedProduct {
+        let variables: Vec<String> = variables.iter().map(|v| v.to_string()).collect();
+        ConstrainedProduct::new(&variables, &objective, &constraint).unwrap()
     }
 
     /// Matrix multiplication: χ = Di·Dj·Dk, g = Di·Dk + Dk·Dj + Di·Dj.
@@ -951,7 +669,7 @@ mod tests {
             .mul(dk.clone())
             .add(dk.clone().mul(dj.clone()))
             .add(di.clone().mul(dj.clone()));
-        ConstrainedProduct::new(vec!["Di".into(), "Dj".into(), "Dk".into()], chi, g)
+        problem(&["Di", "Dj", "Dk"], chi, g)
     }
 
     #[test]
@@ -977,8 +695,21 @@ mod tests {
         let mut b = BTreeMap::new();
         b.insert("S".to_string(), 10000.0);
         assert!((rho.eval(&b).unwrap() - 50.0).abs() < 1.0, "rho {}", rho);
-        // Numeric intensity agrees.
-        assert!((law.intensity_at(10000.0) - 50.0).abs() < 1.0);
+        // Numeric intensity agrees: golden-section minimization of
+        // c·X^σ/(X−S) on [S(1+ε), 50·X₀].
+        let (s, sigma) = (10000.0, law.exponent.to_f64());
+        let rho_of = |x: f64| law.coeff * x.powf(sigma) / (x - s);
+        let (mut lo, mut hi) = (s * 1.0001, s * sigma / (sigma - 1.0) * 50.0);
+        let phi = (5.0_f64.sqrt() - 1.0) / 2.0;
+        for _ in 0..200 {
+            let (c, d) = (hi - phi * (hi - lo), lo + phi * (hi - lo));
+            if rho_of(c) < rho_of(d) {
+                hi = d;
+            } else {
+                lo = c;
+            }
+        }
+        assert!((rho_of((lo + hi) / 2.0) - 50.0).abs() < 1.0);
         // X0 = 3S.
         let x0 = law.optimal_x().unwrap();
         assert!((x0.eval(&b).unwrap() - 30000.0).abs() < 1e-6);
@@ -990,7 +721,7 @@ mod tests {
         let (di, dt) = (d("Di"), d("Dt"));
         let chi = di.clone().mul(dt.clone());
         let g = di.clone().add(Expr::int(2).mul(dt.clone()));
-        let p = ConstrainedProduct::new(vec!["Di".into(), "Dt".into()], chi, g);
+        let p = problem(&["Di", "Dt"], chi, g);
         let law = fit(&p);
         assert_eq!(law.exponent, Rational::int(2));
         // optimum: Di = X/2, Dt = X/4 -> χ = X²/8.
@@ -1008,7 +739,7 @@ mod tests {
         let (di, dj) = (d("Di"), d("Dj"));
         let chi = di.clone().mul(dj.clone());
         let g = chi.clone().add(di.clone()).add(dj.clone());
-        let p = ConstrainedProduct::new(vec!["Di".into(), "Dj".into()], chi, g);
+        let p = problem(&["Di", "Dj"], chi, g);
         let law = fit(&p);
         assert_eq!(law.exponent, Rational::ONE);
         assert!((law.coeff - 1.0).abs() < 0.02);
@@ -1020,91 +751,11 @@ mod tests {
         // Objective only involves D1; D2 should stay at 1... but the
         // constraint is driven by D1 only too, so D2 is free — it must not
         // produce NaN or negative extents.
-        let p = ConstrainedProduct::new(
-            vec!["D1".into(), "D2".into()],
-            d("D1").mul(d("D2")),
-            d("D1").add(d("D2")),
-        );
+        let p = problem(&["D1", "D2"], d("D1").mul(d("D2")), d("D1").add(d("D2")));
         let sol = cold(&p, 100.0);
         assert!(sol.extents.iter().all(|&e| e >= 1.0));
         assert!((sol.constraint_value - 100.0).abs() < 1.0);
         assert!((sol.chi - 2500.0).abs() < 50.0);
-    }
-
-    #[test]
-    fn compiled_and_reference_paths_agree() {
-        let p = mmm_problem();
-        assert!(p.is_compiled());
-        for x in [1.0e5, 3.0e6, 1.0e8] {
-            let fast = cold(&p, x);
-            let slow = p.solve_reference(x);
-            assert!(
-                (fast.chi - slow.chi).abs() / slow.chi < 1e-6,
-                "chi {} vs {}",
-                fast.chi,
-                slow.chi
-            );
-            for (a, b) in fast.extents.iter().zip(&slow.extents) {
-                assert!((a - b).abs() / b < 1e-4, "extent {a} vs {b}");
-            }
-        }
-        // The fitted laws must snap to the same rational exponent and the
-        // same constant within the closed-form recognition tolerance.
-        let fast_law = fit(&p);
-        let slow = ConstrainedProduct::new_reference(
-            p.variables.clone(),
-            p.objective.clone(),
-            p.constraint.clone(),
-        );
-        let slow_law = fit(&slow);
-        assert_eq!(fast_law.exponent, slow_law.exponent);
-        assert!((fast_law.coeff - slow_law.coeff).abs() / slow_law.coeff < 1e-6);
-    }
-
-    #[test]
-    fn max_dominators_compile_to_the_piecewise_form() {
-        // A §5.3 conservative-union dominator containing Max compiles to the
-        // max-posynomial form and must agree with the Expr reference path.
-        let p = ConstrainedProduct::new(
-            vec!["Dr".into(), "Dw".into()],
-            d("Dr").mul(d("Dw")),
-            d("Dr").max(d("Dw")).add(d("Dr")),
-        );
-        assert!(p.is_compiled());
-        let sol = cold(&p, 1000.0);
-        let slow = p.solve_reference(1000.0);
-        assert!(sol.chi.is_finite() && sol.chi > 0.0);
-        assert!((sol.constraint_value - 1000.0).abs() < 1.0);
-        assert!(
-            (sol.chi - slow.chi).abs() / slow.chi < 1e-4,
-            "chi {} vs {}",
-            sol.chi,
-            slow.chi
-        );
-        // Max-atoms *inside* monomials (non-injective subscripts like
-        // Image[r+σ·w]: max(D_r,D_w)·D_c terms) compile too.
-        let conv = ConstrainedProduct::new(
-            vec!["Dr".into(), "Dw".into(), "Dc".into()],
-            d("Dr").mul(d("Dw")).mul(d("Dc")),
-            d("Dr").max(d("Dw")).mul(d("Dc")).add(d("Dr").mul(d("Dw"))),
-        );
-        assert!(conv.is_compiled());
-        let fast = cold(&conv, 1.0e6);
-        let slow = conv.solve_reference(1.0e6);
-        assert!((fast.constraint_value - 1.0e6).abs() < 1.0e3);
-        // The analytic optimum is a²c with ac + a² = X at a² = X/3:
-        // χ = √(X/3)·(2X/3) ≈ 3.849e8.  The compiled path must reach it; the
-        // finite-difference reference is allowed to be (and is) a hair under.
-        let analytic = (1.0e6f64 / 3.0).sqrt() * (2.0e6 / 3.0);
-        assert!(
-            (fast.chi - analytic).abs() / analytic < 1e-3,
-            "chi {} vs analytic {analytic}",
-            fast.chi
-        );
-        assert!(
-            fast.chi >= slow.chi * (1.0 - 1e-3),
-            "compiled regressed below reference"
-        );
     }
 
     #[test]
@@ -1115,7 +766,10 @@ mod tests {
         let dead = Deadline::never();
         dead.cancel();
         assert!(matches!(p.solve(1.0e6, None, Some(&dead)), Err(Expired)));
-        assert!(matches!(p.fit_power_law(Some(&dead)), Err(Expired)));
+        assert!(matches!(
+            fit_power_law(|x, warm| p.solve(x, warm, Some(&dead))),
+            Err(Expired)
+        ));
         // A live deadline changes nothing: byte-identical to the ungoverned
         // solve (the poll is on the same iteration schedule either way).
         let live = Deadline::never();
@@ -1123,12 +777,5 @@ mod tests {
         let plain = cold(&p, 1.0e6);
         assert_eq!(gov.extents, plain.extents);
         assert_eq!(gov.chi.to_bits(), plain.chi.to_bits());
-    }
-
-    #[test]
-    fn golden_section_finds_minimum() {
-        let (x, v) = golden_section_min(|x| (x - 3.0) * (x - 3.0) + 1.0, 0.0, 10.0, 100);
-        assert!((x - 3.0).abs() < 1e-6);
-        assert!((v - 1.0).abs() < 1e-9);
     }
 }

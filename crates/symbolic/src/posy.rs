@@ -13,8 +13,8 @@
 //! ```
 //!
 //! so one evaluation of the per-term values serves the partial derivatives of
-//! *all* variables — replacing the `2n` finite-difference tree walks per KKT
-//! iteration of the retained `Expr`-eval reference path.
+//! *all* variables — instead of `2n` finite-difference `Expr` tree walks per
+//! KKT iteration (the reference solver the differential tests keep).
 //!
 //! Exact rational coefficients are kept alongside the `f64` mirrors so that
 //! structurally identical models can be compared exactly (the cross-subgraph
@@ -43,8 +43,8 @@ impl CompiledPosynomial {
     ///
     /// Returns `None` when the expression is not a posynomial over `vars`
     /// with integer exponents — unknown symbols, fractional powers, or
-    /// `Max`/`Min` nodes (the §5.1 conservative-union fallback) — in which
-    /// case callers fall back to the retained `Expr`-eval path.
+    /// `Max`/`Min` nodes (the §5.1 conservative-union fallback; see
+    /// [`MaxPosynomial`]).
     pub fn compile(expr: &Expr, vars: &[String]) -> Option<CompiledPosynomial> {
         let n_vars = vars.len();
         let expanded = expr.expand();
@@ -254,8 +254,8 @@ pub struct MaxScratch {
 }
 
 /// The minimum (and default) relative tie window: branches this close to the
-/// selected one always average their gradients, mirroring the central
-/// differences of the `Expr`-eval reference path at kinks.
+/// selected one always average their gradients, mirroring what central
+/// differences of the `Expr` tree (the tests' reference solver) do at kinks.
 pub const TIE_REL_FLOOR: f64 = 1e-4;
 
 impl MaxScratch {
@@ -434,8 +434,8 @@ impl MaxPosynomial {
         // the subgradient averages their gradients.  Symmetric optima sit
         // exactly on the kink (`max(D_i·D_j, D_i·D_k)` with `D_j = D_k`),
         // where a one-sided argmax gradient would break the symmetry and
-        // drive the KKT iteration away — the central differences of the
-        // reference path average the two slopes there, and so do we.
+        // drive the KKT iteration away — central differences of the `Expr`
+        // tree average the two slopes there, and so do we.
         let tie_rel = scratch.tie_window.max(TIE_REL_FLOOR);
         let n_atoms = self.atoms.len();
         scratch.atom_values.resize(n_atoms, 0.0);

@@ -2,8 +2,18 @@
 //! randomized posynomials, the compiled evaluation must match `Expr::eval`
 //! exactly (same multiset of monomials, IEEE-summed), and the analytic
 //! log-space gradients must match central differences of the `Expr` tree.
+//! The compiled KKT solver is pinned against the `Expr`-eval reference
+//! solver of the test support.
 
-use soap_symbolic::{CompiledPosynomial, Expr, MaxPosynomial, MaxScratch, Rational};
+#[path = "support/reference_solver.rs"]
+mod reference_solver;
+
+use reference_solver::ReferenceProblem;
+use soap_symbolic::opt::ProductSolution;
+use soap_symbolic::{
+    fit_power_law, CompiledPosynomial, ConstrainedProduct, Expr, MaxPosynomial, MaxScratch,
+    Rational,
+};
 use std::collections::BTreeMap;
 
 /// Deterministic xorshift64* generator so every run checks the same cases.
@@ -193,4 +203,105 @@ fn eval_single_agrees_with_map_eval_on_random_intensities() {
         b.insert("S".to_string(), s);
         assert_eq!(rho.eval_single("S", s), rho.eval(&b));
     }
+}
+
+fn d(name: &str) -> Expr {
+    Expr::sym(name)
+}
+
+/// A problem in both solvers' forms: compiled (it must compile) and the
+/// `Expr`-eval reference.
+fn both(
+    variables: &[&str],
+    objective: Expr,
+    constraint: Expr,
+) -> (ConstrainedProduct, ReferenceProblem) {
+    let variables: Vec<String> = variables.iter().map(|v| v.to_string()).collect();
+    let compiled = ConstrainedProduct::new(&variables, &objective, &constraint)
+        .expect("the problem compiles to (max-)posynomial form");
+    let reference = ReferenceProblem::new(&variables, &objective, &constraint);
+    (compiled, reference)
+}
+
+/// An ungoverned cold-start compiled solve.
+fn cold(p: &ConstrainedProduct, x: f64) -> ProductSolution {
+    p.solve(x, None, None).unwrap().0
+}
+
+#[test]
+fn compiled_and_reference_paths_agree() {
+    // Matrix multiplication: χ = Di·Dj·Dk, g = Di·Dk + Dk·Dj + Di·Dj.
+    let (di, dj, dk) = (d("Di"), d("Dj"), d("Dk"));
+    let chi = di.clone().mul(dj.clone()).mul(dk.clone());
+    let g = di
+        .clone()
+        .mul(dk.clone())
+        .add(dk.clone().mul(dj.clone()))
+        .add(di.clone().mul(dj.clone()));
+    let (p, reference) = both(&["Di", "Dj", "Dk"], chi, g);
+    for x in [1.0e5, 3.0e6, 1.0e8] {
+        let fast = cold(&p, x);
+        let slow = reference.solve(x, None).0;
+        assert!(
+            (fast.chi - slow.chi).abs() / slow.chi < 1e-6,
+            "chi {} vs {}",
+            fast.chi,
+            slow.chi
+        );
+        for (a, b) in fast.extents.iter().zip(&slow.extents) {
+            assert!((a - b).abs() / b < 1e-4, "extent {a} vs {b}");
+        }
+    }
+    // The fitted laws must snap to the same rational exponent and the
+    // same constant within the closed-form recognition tolerance.
+    let fast_law = fit_power_law(|x, warm| p.solve(x, warm, None)).unwrap().0;
+    let slow_law = fit_power_law(|x, warm| Ok(reference.solve(x, warm)))
+        .unwrap()
+        .0;
+    assert_eq!(fast_law.exponent, slow_law.exponent);
+    assert!((fast_law.coeff - slow_law.coeff).abs() / slow_law.coeff < 1e-6);
+}
+
+#[test]
+fn max_dominators_compile_to_the_piecewise_form() {
+    // A §5.3 conservative-union dominator containing Max compiles to the
+    // max-posynomial form and must agree with the Expr reference solver.
+    let (p, reference) = both(
+        &["Dr", "Dw"],
+        d("Dr").mul(d("Dw")),
+        d("Dr").max(d("Dw")).add(d("Dr")),
+    );
+    let sol = cold(&p, 1000.0);
+    let slow = reference.solve(1000.0, None).0;
+    assert!(sol.chi.is_finite() && sol.chi > 0.0);
+    assert!((sol.constraint_value - 1000.0).abs() < 1.0);
+    assert!(
+        (sol.chi - slow.chi).abs() / slow.chi < 1e-4,
+        "chi {} vs {}",
+        sol.chi,
+        slow.chi
+    );
+    // Max-atoms *inside* monomials (non-injective subscripts like
+    // Image[r+σ·w]: max(D_r,D_w)·D_c terms) compile too.
+    let (conv, conv_reference) = both(
+        &["Dr", "Dw", "Dc"],
+        d("Dr").mul(d("Dw")).mul(d("Dc")),
+        d("Dr").max(d("Dw")).mul(d("Dc")).add(d("Dr").mul(d("Dw"))),
+    );
+    let fast = cold(&conv, 1.0e6);
+    let slow = conv_reference.solve(1.0e6, None).0;
+    assert!((fast.constraint_value - 1.0e6).abs() < 1.0e3);
+    // The analytic optimum is a²c with ac + a² = X at a² = X/3:
+    // χ = √(X/3)·(2X/3) ≈ 3.849e8.  The compiled path must reach it; the
+    // finite-difference reference is allowed to be (and is) a hair under.
+    let analytic = (1.0e6f64 / 3.0).sqrt() * (2.0e6 / 3.0);
+    assert!(
+        (fast.chi - analytic).abs() / analytic < 1e-3,
+        "chi {} vs analytic {analytic}",
+        fast.chi
+    );
+    assert!(
+        fast.chi >= slow.chi * (1.0 - 1e-3),
+        "compiled regressed below reference"
+    );
 }
