@@ -25,7 +25,8 @@ pub struct SdgOptions {
     pub assume_injective: bool,
     /// Maximum number of arrays per enumerated subgraph.
     pub max_subgraph_size: usize,
-    /// Hard cap on the number of enumerated subgraphs.
+    /// Hard cap on the number of enumerated subgraphs.  An enumeration that
+    /// would exceed it degrades the analysis (every array deferred).
     pub max_subgraphs: usize,
     /// Reference fast-memory size used to order intensities numerically.
     pub reference_s: f64,
@@ -199,15 +200,17 @@ pub struct ProgramAnalysis {
     /// Per-phase timing breakdown (enumerate / merge / instantiate / solve).
     pub phases: PhaseTimings,
     /// True iff a deadline or cancellation abandoned part of the analysis,
-    /// or a subgraph failed to merge, solve or finish (panic).  The `bound`
-    /// is then a *sound partial bound*: numerically at most the full
-    /// Theorem-1 bound (deferred arrays contribute zero), never more.
-    /// Degraded results are never memoized or stored.  Always false on an
-    /// ungoverned, fault-free run of a program whose subgraphs all solve.
+    /// the `max_subgraphs` cap truncated enumeration, or a subgraph failed
+    /// to merge, solve or finish (panic).  The `bound` is then a *sound
+    /// partial bound*: numerically at most the full Theorem-1 bound
+    /// (deferred arrays contribute zero), never more.  Degraded results are
+    /// never memoized or stored.  Always false on an ungoverned, fault-free
+    /// run of a program whose enumeration fits the cap and whose subgraphs
+    /// all solve.
     pub degraded: bool,
     /// Computed arrays whose contribution was deferred (counted as zero)
     /// because a candidate subgraph was cancelled or failed, or because
-    /// enumeration itself was cut short.
+    /// enumeration itself was cut short by the deadline or the cap.
     pub arrays_deferred: usize,
 }
 
@@ -253,8 +256,9 @@ pub fn analyze_program(
         .validate()
         .map_err(|e| AnalysisError::InvalidStatement(e.to_string()))?;
     // Report-store probe: a finished analysis persisted under the same
-    // structural key (program structure modulo renaming, plus every option
-    // that shapes the result) answers the whole request before any pipeline
+    // structural key (program structure and loop-variable names, modulo the
+    // program and statement names, plus every option that shapes the
+    // result) answers the whole request before any pipeline
     // work — enumeration, merging, instantiation, and solving are all
     // skipped.  Stored reports are never degraded, so the replay is the full
     // Theorem-1 result, byte-identical to recomputing it.
@@ -288,13 +292,20 @@ pub fn analyze_program(
         plan.level_cap(),
     );
     let enumerate_ms = enumerate_start.elapsed().as_secs_f64() * 1e3;
-    if enumeration.truncated {
-        notes.push(format!(
-            "subgraph enumeration truncated at {} subgraphs (max size {}); the bound may be looser than the full Theorem-1 maximum",
+    // An enumeration stopped by the budget (whole levels missing) or by the
+    // `max_subgraphs` cap (part of a level missing) leaves every array's
+    // Theorem-1 candidate set possibly incomplete; the degraded note says
+    // which.
+    let enumeration_cut_short = if enumeration.deadline_truncated {
+        Some("subgraph enumeration was cut short at a level boundary".to_string())
+    } else if enumeration.truncated {
+        Some(format!(
+            "subgraph enumeration stopped at the cap of {} subgraphs (max size {})",
             opts.max_subgraphs, opts.max_subgraph_size
-        ));
-    }
-    let enumeration_cut_short = enumeration.deadline_truncated;
+        ))
+    } else {
+        None
+    };
     let subgraph_sets = enumeration.subgraphs;
     let core_opts = AnalysisOptions {
         assume_injective: opts.assume_injective,
@@ -437,11 +448,11 @@ pub fn analyze_program(
         ));
     }
 
-    let degraded = enumeration_cut_short || cancelled > 0 || failed > 0;
+    let degraded = enumeration_cut_short.is_some() || cancelled > 0 || failed > 0;
     if degraded {
         let mut parts = Vec::new();
-        if enumeration_cut_short {
-            parts.push("subgraph enumeration was cut short at a level boundary".to_string());
+        if let Some(part) = &enumeration_cut_short {
+            parts.push(part.clone());
         }
         if cancelled > 0 {
             parts.push(format!(
@@ -474,7 +485,7 @@ pub fn analyze_program(
     let mut arrays_deferred = 0usize;
     let mut total = Expr::zero();
     for array in program.computed_arrays() {
-        let cause = if enumeration_cut_short {
+        let cause = if enumeration_cut_short.is_some() {
             Some("subgraph enumeration was cut short")
         } else {
             deferred_arrays.get(&array).copied()

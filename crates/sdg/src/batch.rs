@@ -438,7 +438,8 @@ mod tests {
         assert_eq!(warm.summary.cache.uncacheable, 0);
         // The warm run is answered from persisted *report* records — the
         // whole front half is skipped, so there is no solve-cache traffic at
-        // all (both jobs are renamed twins sharing one structural key).
+        // all.  The jobs are loop-renamed twins: each replays its own report,
+        // whose tile variables carry its own loop names.
         assert_eq!(
             warm.summary.cache.report_hits, 2,
             "{:?}",
@@ -454,12 +455,13 @@ mod tests {
                     sc.intensity.chi_coeff.to_bits(),
                     sw.intensity.chi_coeff.to_bits()
                 );
-                for ((_, a), (_, b)) in sc
+                for ((na, a), (nb, b)) in sc
                     .intensity
                     .tile_coeffs
                     .iter()
                     .zip(&sw.intensity.tile_coeffs)
                 {
+                    assert_eq!(na, nb);
                     assert_eq!(a.to_bits(), b.to_bits());
                 }
             }

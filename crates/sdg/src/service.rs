@@ -84,13 +84,17 @@ pub fn canonical_program_hash(program: &Program) -> u64 {
 
 /// The key under which a finished report is persisted: the structural
 /// program digest folded with every [`SdgOptions`](crate::SdgOptions) field
-/// that shapes the analysis result.
+/// that shapes the analysis result, and with the loop-variable names.
 ///
 /// [`canonical_program_hash`] alone is not a sound report key — the same
 /// program analyzed under a different subgraph budget, injectivity
 /// assumption, or reference `S` produces a different `ProgramAnalysis`, so
 /// all four option fields feed the digest (`reference_s` as its raw f64 bit
-/// pattern, matching the store's float discipline).
+/// pattern, matching the store's float discipline).  A report also names
+/// the program's tile variables (each subgraph's `tile_exponents` and
+/// `tile_coeffs` are keyed by loop-variable name), so each statement's loop
+/// names, in order, feed the digest too: a loop-renamed program must not
+/// replay another spelling's report.
 pub fn structural_program_key(program: &Program, opts: &crate::SdgOptions) -> u64 {
     let mut h = Fnv::new();
     h.write_i64(canonical_program_hash(program) as i64);
@@ -98,6 +102,12 @@ pub fn structural_program_key(program: &Program, opts: &crate::SdgOptions) -> u6
     h.write_usize(opts.max_subgraph_size);
     h.write_usize(opts.max_subgraphs);
     h.write(&opts.reference_s.to_bits().to_le_bytes());
+    for st in &program.statements {
+        h.write_usize(st.domain.loops.len());
+        for lv in &st.domain.loops {
+            h.write_str(&lv.name);
+        }
+    }
     h.finish()
 }
 
@@ -410,12 +420,23 @@ for a9 in range(0, M):
         let program = parse_python("a", ATAX_PY).unwrap();
         let renamed = parse_python("b", ATAX_PY_RENAMED).unwrap();
         let opts = crate::SdgOptions::default();
-        // Renaming-invariance carries over from the program hash…
+        // The program hash is renaming-invariant, but a report names its
+        // tile variables, so loop renames separate report keys…
         assert_eq!(
+            canonical_program_hash(&program),
+            canonical_program_hash(&renamed)
+        );
+        assert_ne!(
             structural_program_key(&program, &opts),
             structural_program_key(&renamed, &opts)
         );
-        // …but every option that shapes the result separates keys.
+        // …while the program and statement names still do not…
+        let same_loops = parse_python("c", ATAX_PY).unwrap();
+        assert_eq!(
+            structural_program_key(&program, &opts),
+            structural_program_key(&same_loops, &opts)
+        );
+        // …and every option that shapes the result separates keys.
         for tweaked in [
             crate::SdgOptions {
                 assume_injective: !opts.assume_injective,

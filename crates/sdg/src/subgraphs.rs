@@ -5,9 +5,10 @@
 //! arrays (connectivity through shared read-only arrays counts, so the two
 //! halves of `mvt` form a valid pair) up to a configurable size, plus every
 //! singleton.  A hard cap on the total number of subgraphs keeps degenerate
-//! cases (fully-connected SDGs of large networks) bounded; when the cap drops
-//! a subgraph the analysis notes that the reported bound may be looser than
-//! optimal.
+//! cases (fully-connected SDGs of large networks) bounded.  A dropped subgraph
+//! is a candidate missing from the Theorem-1 maximum, which could only raise
+//! the bound, so when the cap drops one the analysis degrades and defers
+//! every array, exactly as when a deadline stops enumeration.
 //!
 //! The enumeration runs entirely on dense bitmask sets ([`BitSet`] over
 //! computed-array indices, see [`Sdg::computed_adjacency`]) with hash-based

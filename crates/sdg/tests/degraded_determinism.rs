@@ -10,8 +10,8 @@
 
 use soap_kernels::registry;
 use soap_sdg::{
-    analyze_suite, set_worker_budget, BatchAnalysis, FaultPlan, SdgOptions, SolveCache,
-    SuiteProgram, DEFAULT_CACHE_SHARDS,
+    analyze_suite, enumerate_connected_subgraphs, set_worker_budget, BatchAnalysis, FaultPlan, Sdg,
+    SdgOptions, SolveCache, SuiteProgram, DEFAULT_CACHE_SHARDS,
 };
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -86,12 +86,19 @@ fn dump(analysis: &soap_sdg::ProgramAnalysis) -> String {
 /// Numeric value of a program's bound: every parameter at 1000, fast memory
 /// at 10^4.  An empty / unevaluable bound counts as zero (no claim at all).
 fn bound_value(program: &soap_ir::Program, analysis: &soap_sdg::ProgramAnalysis) -> f64 {
-    let mut bindings: BTreeMap<String, f64> = program
-        .parameters()
-        .into_iter()
-        .map(|p| (p, 1000.0))
-        .collect();
-    bindings.insert("S".to_string(), 1.0e4);
+    bound_at(program, analysis, 1000.0, 1.0e4)
+}
+
+/// The bound with every size parameter at `n` and fast memory at `s`.
+fn bound_at(
+    program: &soap_ir::Program,
+    analysis: &soap_sdg::ProgramAnalysis,
+    n: f64,
+    s: f64,
+) -> f64 {
+    let mut bindings: BTreeMap<String, f64> =
+        program.parameters().into_iter().map(|p| (p, n)).collect();
+    bindings.insert("S".to_string(), s);
     analysis.bound_at(&bindings).unwrap_or(0.0)
 }
 
@@ -175,6 +182,79 @@ fn degraded_bounds_never_exceed_the_full_bounds() {
             );
         }
     }
+}
+
+#[test]
+fn subgraph_cap_truncation_degrades_and_never_raises_the_bound() {
+    // A cap of 3 subgraphs drops candidates from the Theorem-1 maximum of
+    // most multi-array programs.  A dropped candidate could only raise the
+    // bound, so a truncated program must be degraded with a bound no larger
+    // than the uncapped one (every parameter 256, S = 1024); a program the
+    // cap does not truncate must be byte-identical to the uncapped run.
+    let jobs = jobs();
+    let full = analyze_suite(&jobs, &SolveCache::new(), None, None);
+    assert_eq!(full.summary.failures, 0);
+    let capped_jobs: Vec<SuiteProgram> = jobs
+        .iter()
+        .map(|job| {
+            SuiteProgram::new(
+                job.program.clone(),
+                SdgOptions {
+                    max_subgraphs: 3,
+                    ..job.opts.clone()
+                },
+            )
+        })
+        .collect();
+    let capped = analyze_suite(&capped_jobs, &SolveCache::new(), None, None);
+    assert_eq!(
+        capped.summary.failures, 0,
+        "truncation degrades, never fails"
+    );
+    let mut truncated = 0usize;
+    for ((job, full), capped) in jobs.iter().zip(&full.reports).zip(&capped.reports) {
+        let full = full.outcome.as_ref().expect("analysis succeeds");
+        let analysis = capped.outcome.as_ref().expect("analysis succeeds");
+        let sdg = Sdg::from_program(&job.program);
+        let opts = &job.opts;
+        if !enumerate_connected_subgraphs(&sdg, opts.max_subgraph_size, 3).truncated {
+            assert_eq!(
+                dump(full),
+                dump(analysis),
+                "{}: untruncated run diverged",
+                job.name
+            );
+            continue;
+        }
+        truncated += 1;
+        assert!(
+            analysis.degraded,
+            "{}: a truncated enumeration must degrade",
+            job.name
+        );
+        assert!(
+            analysis
+                .notes
+                .iter()
+                .any(|n| n.contains("stopped at the cap of 3 subgraphs")),
+            "{}: the degraded note must name the cap: {:?}",
+            job.name,
+            analysis.notes
+        );
+        let (bound, full_bound) = (
+            bound_at(&job.program, analysis, 256.0, 1024.0),
+            bound_at(&job.program, full, 256.0, 1024.0),
+        );
+        assert!(
+            bound <= full_bound * (1.0 + 1e-9) + 1e-9,
+            "{}: capped bound {bound} exceeds the uncapped bound {full_bound}",
+            job.name
+        );
+    }
+    assert!(
+        truncated > 0,
+        "a cap of 3 must truncate part of the registry"
+    );
 }
 
 /// Every program's dump, in suite order.

@@ -7,8 +7,8 @@
 
 use soap_kernels::registry;
 use soap_sdg::{
-    analyze_suite, set_worker_budget, ProgramAnalysis, SdgOptions, SolveCache, SolveStore,
-    StoreLoadStats, SuiteProgram, STORE_HEADER,
+    analyze_program, analyze_suite, set_worker_budget, ProgramAnalysis, SdgOptions, SolveCache,
+    SolveStore, StoreLoadStats, SuiteProgram, STORE_HEADER,
 };
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -366,12 +366,12 @@ fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
         .collect()
 }
 
-/// Bit-exact dump of one analysis, without the run's timings and cache
-/// accounting.
+/// Bit-exact dump of every result field of one analysis, without the run's
+/// timings and cache accounting.
 fn dump(a: &ProgramAnalysis) -> String {
     let mut out = format!(
-        "program {} bound {} degraded {}\n",
-        a.name, a.bound, a.degraded
+        "program {} bound {} degraded {} deferred {}\n",
+        a.name, a.bound, a.degraded, a.arrays_deferred
     );
     for b in &a.per_array {
         let _ = writeln!(
@@ -384,8 +384,9 @@ fn dump(a: &ProgramAnalysis) -> String {
         let i = &s.intensity;
         let _ = writeln!(
             out,
-            "subgraph {:?} sigma={:?} chi={:016x} rho={} x0={:?} rho_ref={:016x}",
+            "subgraph {:?} model={} sigma={:?} chi={:016x} rho={} x0={:?} rho_ref={:016x}",
             s.arrays,
+            i.name,
             i.sigma,
             i.chi_coeff.to_bits(),
             i.rho,
@@ -503,4 +504,85 @@ fn hydration_is_identical_under_every_worker_budget() {
         assert_eq!(run.3, runs[0].3, "warm analyses differ across budgets");
     }
     let _ = std::fs::remove_dir_all(&pristine);
+}
+
+/// `program` with every loop variable `v` renamed `v_r` — in the loop
+/// headers, the bounds and the subscripts.
+fn rename_loops(program: &soap_ir::Program) -> soap_ir::Program {
+    let mut renamed = program.clone();
+    for st in &mut renamed.statements {
+        let loops: Vec<String> = st.domain.loops.iter().map(|lv| lv.name.clone()).collect();
+        let rename = |name: &String| {
+            if loops.contains(name) {
+                format!("{name}_r")
+            } else {
+                name.clone()
+            }
+        };
+        for lv in &mut st.domain.loops {
+            lv.name = rename(&lv.name);
+            for bound in [&mut lv.lower, &mut lv.upper] {
+                bound.terms = bound.terms.iter().map(|(k, v)| (rename(k), *v)).collect();
+            }
+        }
+        for acc in std::iter::once(&mut st.output).chain(st.inputs.iter_mut()) {
+            for comp in &mut acc.components {
+                for ix in &mut comp.indices {
+                    ix.coeffs = ix.coeffs.iter().map(|(k, v)| (rename(k), *v)).collect();
+                }
+            }
+        }
+    }
+    renamed
+}
+
+#[test]
+fn loop_renamed_program_never_replays_another_spellings_report() {
+    // A report names its tile variables after the loops, so a store written
+    // by plain gemm must not answer gemm with renamed loops: the warm
+    // analysis of the renamed program must equal its cold analysis in
+    // every result field, before and after its own report is persisted.
+    let dir = temp_dir("loop-rename");
+    let gemm = jobs_for(&["gemm"]).remove(0);
+    seed_store(&dir, std::slice::from_ref(&gemm));
+    let renamed = rename_loops(&gemm.program);
+    assert_eq!(
+        soap_sdg::canonical_program_hash(&gemm.program),
+        soap_sdg::canonical_program_hash(&renamed),
+        "the rename is structural only"
+    );
+    let cold = analyze_program(&renamed, &gemm.opts, &SolveCache::new(), None).unwrap();
+    let tiles: Vec<&str> = cold.subgraphs[0]
+        .intensity
+        .tile_exponents
+        .iter()
+        .map(|(name, _)| name.as_str())
+        .collect();
+    assert!(
+        !tiles.is_empty() && tiles.iter().all(|t| t.ends_with("_r")),
+        "cold tile variables follow the renamed loops: {tiles:?}"
+    );
+
+    let warm_cache = SolveCache::with_store(&dir).expect("store reopens");
+    let warm = analyze_program(&renamed, &gemm.opts, &warm_cache, None).unwrap();
+    assert_eq!(
+        warm.solver.report_hits, 0,
+        "plain gemm's report must not answer"
+    );
+    assert!(warm.solver.store_hits > 0, "its solved structures still do");
+    assert_eq!(dump(&cold), dump(&warm));
+    warm_cache.flush_store().expect("flush succeeds");
+    drop(warm_cache);
+
+    let replay_cache = SolveCache::with_store(&dir).expect("store reopens");
+    let replay = analyze_program(&renamed, &gemm.opts, &replay_cache, None).unwrap();
+    assert_eq!(replay.solver.report_hits, 1, "its own report answers");
+    assert_eq!(dump(&cold), dump(&replay));
+    let plain = analyze_program(&gemm.program, &gemm.opts, &replay_cache, None).unwrap();
+    assert_eq!(plain.solver.report_hits, 1);
+    assert_eq!(
+        dump(&analyze_program(&gemm.program, &gemm.opts, &SolveCache::new(), None).unwrap()),
+        dump(&plain)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -76,11 +76,13 @@ struct ConstraintScratch {
 impl CompiledConstraint {
     /// Compile a dominator expression: pure posynomial when possible,
     /// piecewise max-posynomial otherwise, `None` when neither form fits.
+    /// The expression is expanded once and both attempts share it.
     pub fn compile(expr: &Expr, vars: &[String]) -> Option<CompiledConstraint> {
-        if let Some(pure) = CompiledPosynomial::compile(expr, vars) {
+        let expanded = expr.expand();
+        if let Some(pure) = CompiledPosynomial::from_expanded(&expanded, vars) {
             return Some(CompiledConstraint::Pure(pure));
         }
-        MaxPosynomial::compile(expr, vars).map(CompiledConstraint::Mixed)
+        MaxPosynomial::from_expanded(&expanded, vars).map(CompiledConstraint::Mixed)
     }
 
     /// Whether this is the piecewise max-posynomial form.

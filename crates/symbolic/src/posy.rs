@@ -46,9 +46,14 @@ impl CompiledPosynomial {
     /// `Max`/`Min` nodes (the §5.1 conservative-union fallback; see
     /// [`MaxPosynomial`]).
     pub fn compile(expr: &Expr, vars: &[String]) -> Option<CompiledPosynomial> {
+        Self::from_expanded(&expr.expand(), vars)
+    }
+
+    /// [`Self::compile`] of an expression that is already `expand()`ed, so
+    /// a caller trying several compiled forms expands only once.
+    pub(crate) fn from_expanded(expanded: &Expr, vars: &[String]) -> Option<CompiledPosynomial> {
         let n_vars = vars.len();
-        let expanded = expr.expand();
-        let terms: Vec<&Expr> = match &expanded {
+        let terms: Vec<&Expr> = match expanded {
             Expr::Add(items) => items.iter().collect(),
             other => vec![other],
         };
@@ -195,10 +200,41 @@ impl CompiledPosynomial {
         let mut p = 1.0;
         for (&xi, &e) in x.iter().zip(row) {
             if e != 0 {
-                p *= xi.powi(i32::from(e));
+                p *= ipow(xi, e);
             }
         }
         p
+    }
+}
+
+/// `x^e` by square-and-multiply, inlined into the term loops.
+///
+/// Bit-identical to `x.powi(e)`: `powi` with a run-time exponent lowers to a
+/// call of the runtime's `__powidf2`, which runs exactly this sequence —
+/// start from `x` (odd `e`) or `1`, square the base once per remaining bit of
+/// `|e|` and multiply it in where the bit is set, and take `1 / y` for a
+/// negative exponent.  Every rounding happens in the same order, so solver
+/// iterates, cached solutions and stored records keep their `f64` bits; the
+/// inline form only drops the out-of-line call from the KKT hot loop.  The
+/// exponents of Lemma-3 terms are small, so the common cases `e = 1`
+/// (`x`) and `e = 2` (`x * x`) leave the loop at once.
+#[inline]
+fn ipow(x: f64, e: i16) -> f64 {
+    let mut n = e.unsigned_abs();
+    let mut base = x;
+    let mut y = if n & 1 != 0 { x } else { 1.0 };
+    n >>= 1;
+    while n != 0 {
+        base *= base;
+        if n & 1 != 0 {
+            y *= base;
+        }
+        n >>= 1;
+    }
+    if e < 0 {
+        1.0 / y
+    } else {
+        y
     }
 }
 
@@ -279,9 +315,14 @@ impl MaxPosynomial {
     /// unknown symbols, `max`/`min` with non-posynomial branches, or nested
     /// `max` under a power.
     pub fn compile(expr: &Expr, vars: &[String]) -> Option<MaxPosynomial> {
+        Self::from_expanded(&expr.expand(), vars)
+    }
+
+    /// [`Self::compile`] of an expression that is already `expand()`ed (see
+    /// [`CompiledPosynomial::from_expanded`]).
+    pub(crate) fn from_expanded(expanded: &Expr, vars: &[String]) -> Option<MaxPosynomial> {
         let n_vars = vars.len();
-        let expanded = expr.expand();
-        let terms: Vec<&Expr> = match &expanded {
+        let terms: Vec<&Expr> = match expanded {
             Expr::Add(items) => items.iter().collect(),
             other => vec![other],
         };
@@ -537,7 +578,7 @@ impl MaxPosynomial {
         let mut p = self.coeffs[k];
         for (&xi, &e) in x.iter().zip(row) {
             if e != 0 {
-                p *= xi.powi(i32::from(e));
+                p *= ipow(xi, e);
             }
         }
         let (start, len) = self.term_atoms[k];
@@ -647,6 +688,34 @@ mod tests {
         assert!(CompiledPosynomial::compile(&frac, &vars(&["Di"])).is_none());
         let unknown = d("Di").mul(d("Dz"));
         assert!(CompiledPosynomial::compile(&unknown, &vars(&["Di"])).is_none());
+    }
+
+    #[test]
+    fn ipow_is_bit_identical_to_powi() {
+        // 0, 1, every power of two up to 2^996, and a geometric sweep with
+        // ratio 1.37 from 1 up to 1e300 (inexact mantissas, so the rounding
+        // order of every squaring and multiply is exercised).
+        let mut xs = vec![0.0, 1.0];
+        xs.extend((1..=996).map(|k| 2f64.powi(k)));
+        let mut x = 1.0f64;
+        while x <= 1e300 {
+            xs.push(x);
+            x *= 1.37;
+        }
+        xs.push(1e300);
+        for &x in &xs {
+            for e in -16i16..=16 {
+                // black_box keeps the library call: a constant exponent would
+                // be expanded inline by the compiler.
+                let expected = x.powi(std::hint::black_box(i32::from(e)));
+                assert_eq!(
+                    ipow(x, e).to_bits(),
+                    expected.to_bits(),
+                    "ipow({x:e}, {e}) = {:e}, powi gives {expected:e}",
+                    ipow(x, e)
+                );
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@ mod reference_solver;
 
 use reference_solver::ReferenceProblem;
 use soap_symbolic::opt::ProductSolution;
+use soap_symbolic::posy::TIE_REL_FLOOR;
 use soap_symbolic::{
     fit_power_law, CompiledPosynomial, ConstrainedProduct, Expr, MaxPosynomial, MaxScratch,
     Rational,
@@ -202,6 +203,254 @@ fn eval_single_agrees_with_map_eval_on_random_intensities() {
         let mut b = BTreeMap::new();
         b.insert("S".to_string(), s);
         assert_eq!(rho.eval_single("S", s), rho.eval(&b));
+    }
+}
+
+/// `1..=max_terms` random term rows over `n` variables: exponents in
+/// `-4..=6` (zero about a third of the time, as in merged models) and
+/// coefficients `p/q` with `p ∈ 1..=9`, `q ∈ 1..=4`.
+fn random_rows(rng: &mut XorShift, n: usize, max_terms: u64) -> Vec<(Vec<i16>, Rational)> {
+    let terms = 1 + rng.below(max_terms);
+    (0..terms)
+        .map(|_| {
+            let row = (0..n)
+                .map(|_| {
+                    if rng.below(3) == 0 {
+                        0
+                    } else {
+                        rng.below(11) as i16 - 4
+                    }
+                })
+                .collect();
+            let c = Rational::new(1 + rng.below(9) as i128, 1 + rng.below(4) as i128);
+            (row, c)
+        })
+        .collect()
+}
+
+/// A point with components spread over `[1/16, 64)`, so negative exponents
+/// and fractional bases both occur.
+fn wide_point(rng: &mut XorShift, n: usize) -> Vec<f64> {
+    (0..n)
+        .map(|_| {
+            (1.0 + (rng.next() % 1000) as f64 / 1000.0) * f64::powi(2.0, rng.below(10) as i32 - 4)
+        })
+        .collect()
+}
+
+/// The naive evaluator the compiled forms must equal bit for bit: per term,
+/// `Π_t x_t^{e_t}` through the library `powi`, multiplied in variable order.
+fn naive_product(mut p: f64, row: &[i16], x: &[f64]) -> f64 {
+    for (&xi, &e) in x.iter().zip(row) {
+        if e != 0 {
+            p *= xi.powi(i32::from(e));
+        }
+    }
+    p
+}
+
+/// Naive per-term values `c_k · Π_t x_t^{e_{k,t}}` of a compiled posynomial.
+fn naive_terms(p: &CompiledPosynomial, x: &[f64]) -> Vec<f64> {
+    (0..p.n_terms())
+        .map(|k| p.rational_coeff(k).to_f64() * naive_product(1.0, p.exponent_row(k), x))
+        .collect()
+}
+
+fn naive_eval(p: &CompiledPosynomial, x: &[f64]) -> f64 {
+    naive_terms(p, x).iter().fold(0.0, |acc, t| acc + t)
+}
+
+fn naive_grad_log(p: &CompiledPosynomial, terms: &[f64]) -> Vec<f64> {
+    let mut out = vec![0.0; p.n_vars()];
+    for (k, &tv) in terms.iter().enumerate() {
+        for (o, &e) in out.iter_mut().zip(p.exponent_row(k)) {
+            if e != 0 {
+                *o += f64::from(e) * tv;
+            }
+        }
+    }
+    out
+}
+
+/// Naive `MaxPosynomial::eval_grad` at the default tie window: atoms take
+/// the max/min branch value, tied branches average their gradients, and each
+/// term is `c_k · Π x^e · Π atoms`.
+fn naive_max_eval_grad(m: &MaxPosynomial, x: &[f64]) -> (f64, Vec<f64>) {
+    let n = m.n_vars();
+    let mut atom_values = Vec::new();
+    let mut atom_grads = Vec::new();
+    for j in 0..m.n_atoms() {
+        let values: Vec<f64> = m
+            .atom_branches(j)
+            .iter()
+            .map(|b| naive_eval(b, x))
+            .collect();
+        let mut best = f64::NAN;
+        for (b, &v) in values.iter().enumerate() {
+            if b == 0 || (m.atom_is_min(j) && v < best) || (!m.atom_is_min(j) && v > best) {
+                best = v;
+            }
+        }
+        let mut grad = vec![0.0; n];
+        let mut tied = 0usize;
+        for (branch, &v) in m.atom_branches(j).iter().zip(&values) {
+            if (v - best).abs() / best.abs().max(1e-300) > TIE_REL_FLOOR {
+                continue;
+            }
+            tied += 1;
+            let g = naive_grad_log(branch, &naive_terms(branch, x));
+            for (acc, g) in grad.iter_mut().zip(g) {
+                *acc += g;
+            }
+        }
+        if tied > 1 {
+            for g in &mut grad {
+                *g /= tied as f64;
+            }
+        }
+        atom_values.push(best);
+        atom_grads.push(grad);
+    }
+    let mut acc = 0.0;
+    let mut grad = vec![0.0; n];
+    for k in 0..m.n_terms() {
+        let atoms = m.term_atom_indices(k);
+        let mut tv = naive_product(m.rational_coeff(k).to_f64(), m.exponent_row(k), x);
+        for &j in atoms {
+            tv *= atom_values[j as usize];
+        }
+        acc += tv;
+        if tv == 0.0 {
+            continue;
+        }
+        for (t, g) in grad.iter_mut().enumerate() {
+            let mut factor = f64::from(m.exponent_row(k)[t]);
+            for &j in atoms {
+                let v = atom_values[j as usize];
+                if v != 0.0 {
+                    factor += atom_grads[j as usize][t] / v;
+                }
+            }
+            if factor != 0.0 {
+                *g += tv * factor;
+            }
+        }
+    }
+    (acc, grad)
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn compiled_posynomials_equal_a_naive_powi_reference_bit_for_bit() {
+    let mut rng = XorShift(0x5eed0005);
+    for case in 0..300 {
+        let n = 1 + rng.below(6) as usize;
+        let p = CompiledPosynomial::from_rows(n, &random_rows(&mut rng, n, 8));
+        for _ in 0..4 {
+            let x = wide_point(&mut rng, n);
+            let expected_terms = naive_terms(&p, &x);
+            let expected = naive_eval(&p, &x);
+            assert_eq!(
+                p.eval(&x).to_bits(),
+                expected.to_bits(),
+                "case {case}: eval at {x:?}"
+            );
+            let mut terms = vec![0.0; p.n_terms()];
+            let total = p.eval_terms(&x, &mut terms);
+            assert_eq!(
+                total.to_bits(),
+                expected.to_bits(),
+                "case {case}: eval_terms sum"
+            );
+            assert_eq!(
+                bits(&terms),
+                bits(&expected_terms),
+                "case {case}: term values"
+            );
+            let mut grad = vec![0.0; n];
+            p.grad_log_from_terms(&terms, &mut grad);
+            assert_eq!(
+                bits(&grad),
+                bits(&naive_grad_log(&p, &expected_terms)),
+                "case {case}: log-gradient"
+            );
+            let mask = rng.next();
+            let active = |t: usize| mask >> t & 1 == 1;
+            let (value, derivative) = p.eval_and_scale_derivative(&x, active);
+            let mut expected_derivative = 0.0;
+            for (k, &tv) in expected_terms.iter().enumerate() {
+                let mut deg = 0.0;
+                for (t, &e) in p.exponent_row(k).iter().enumerate() {
+                    if e != 0 && active(t) {
+                        deg += f64::from(e);
+                    }
+                }
+                expected_derivative += tv * deg;
+            }
+            assert_eq!(
+                value.to_bits(),
+                expected.to_bits(),
+                "case {case}: scale value"
+            );
+            assert_eq!(
+                derivative.to_bits(),
+                expected_derivative.to_bits(),
+                "case {case}: scale derivative"
+            );
+        }
+    }
+}
+
+#[test]
+fn max_posynomials_equal_a_naive_powi_reference_bit_for_bit() {
+    let mut rng = XorShift(0x5eed0006);
+    for case in 0..200 {
+        let n = 2 + rng.below(4) as usize;
+        let n_atoms = 1 + rng.below(2) as usize;
+        let atoms: Vec<(bool, Vec<CompiledPosynomial>)> = (0..n_atoms)
+            .map(|_| {
+                let branches = (0..2 + rng.below(2))
+                    .map(|_| {
+                        let rows = random_rows(&mut rng, n, 3);
+                        CompiledPosynomial::from_rows(n, &rows)
+                    })
+                    .collect();
+                (rng.below(4) == 0, branches)
+            })
+            .collect();
+        let terms: Vec<(Vec<i16>, Rational, Vec<u32>)> = random_rows(&mut rng, n, 5)
+            .into_iter()
+            .map(|(row, c)| {
+                let ids = (0..n_atoms as u32).filter(|_| rng.below(2) == 0).collect();
+                (row, c, ids)
+            })
+            .collect();
+        let m = MaxPosynomial::from_parts(n, &terms, atoms);
+        let mut scratch = MaxScratch::default();
+        for _ in 0..4 {
+            let x = wide_point(&mut rng, n);
+            let (expected, expected_grad) = naive_max_eval_grad(&m, &x);
+            assert_eq!(
+                m.eval(&x, &mut scratch).to_bits(),
+                expected.to_bits(),
+                "case {case}: eval at {x:?}"
+            );
+            let mut grad = vec![0.0; n];
+            let value = m.eval_grad(&x, &mut grad, &mut scratch);
+            assert_eq!(
+                value.to_bits(),
+                expected.to_bits(),
+                "case {case}: eval_grad value"
+            );
+            assert_eq!(
+                bits(&grad),
+                bits(&expected_grad),
+                "case {case}: gradient at {x:?}"
+            );
+        }
     }
 }
 
