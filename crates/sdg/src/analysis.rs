@@ -4,7 +4,7 @@ use crate::cache::{CacheStats, SolveCache};
 use crate::graph::Sdg;
 use crate::merge::merged_model;
 use crate::service::structural_program_key;
-use crate::store::StoredReport;
+use crate::store::ReportParts;
 use crate::subgraphs::enumerate_connected_subgraphs_governed;
 use rayon::prelude::*;
 use soap_core::{AnalysisError, AnalysisOptions, IntensityResult};
@@ -266,10 +266,10 @@ pub fn analyze_program(
     if let Some(report) = cache.lookup_report(report_key) {
         return Ok(ProgramAnalysis {
             name: program.name.clone(),
-            per_array: report.per_array.clone(),
-            subgraphs: report.subgraphs.clone(),
-            bound: report.bound.clone(),
-            notes: report.notes.clone(),
+            per_array: report.per_array,
+            subgraphs: report.subgraphs,
+            bound: report.bound,
+            notes: report.notes,
             solver: SolverSummary {
                 report_hits: 1,
                 ..SolverSummary::default()
@@ -536,15 +536,15 @@ pub fn analyze_program(
 
     // Persist the finished report for later processes — but only a *full*
     // result: degraded analyses (cancelled or failed subgraphs) are partial
-    // by construction.
-    if !degraded && cache.store_dir().is_some() {
+    // by construction.  The cache encodes it straight into its record payload.
+    if !degraded {
         cache.record_report(
             report_key,
-            StoredReport {
-                per_array: per_array.clone(),
-                subgraphs: subgraphs.clone(),
-                bound: total.clone(),
-                notes: notes.clone(),
+            ReportParts {
+                per_array: &per_array,
+                subgraphs: &subgraphs,
+                bound: &total,
+                notes: &notes,
             },
         );
     }

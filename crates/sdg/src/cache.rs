@@ -51,7 +51,10 @@
 //! cold ones.
 
 use crate::faults::FaultPlan;
-use crate::store::{SolveStore, StoreFlushStats, StoreLoadStats, StoredReport};
+use crate::store::{
+    decode_report_payload, encode_report_payload, HeldReport, ReportParts, SolveStore,
+    StoreFlushStats, StoreLoadStats, StoredReport,
+};
 use soap_core::{fit_intensity, solve_model, AccessModel, AnalysisError, IntensityResult};
 use soap_symbolic::{
     CompiledConstraint, CompiledPosynomial, ConstrainedProduct, Deadline, Expr, MaxPosynomial,
@@ -464,22 +467,33 @@ pub struct SolveCache {
 }
 
 /// The disk-persistence state of a store-backed cache: the store itself, the
-/// load-time accounting, and the set of keys already on disk (so a flush
-/// writes only what this process newly solved).
+/// load-time accounting, the keys this process has flushed, and the
+/// finished-program reports as record payloads.
 struct StoreLayer {
     store: SolveStore,
     load_stats: StoreLoadStats,
+    /// Solve keys this process has written to the store.  Hydrated cells are
+    /// not listed: they carry [`STORE_SCOPE`], which a flush skips anyway.
     persisted: Mutex<std::collections::HashSet<CanonicalKey>>,
     /// Finished-program reports keyed by
-    /// [`structural_program_key`](crate::structural_program_key) — hydrated
-    /// at open, extended by [`SolveCache::record_report`].
-    reports: Mutex<HashMap<u64, Arc<StoredReport>>>,
+    /// [`structural_program_key`](crate::structural_program_key), each held
+    /// as the payload of its record line — hydrated at open, extended by
+    /// [`SolveCache::record_report`], decoded only by
+    /// [`SolveCache::lookup_report`], written behind its digest by a flush.
+    reports: Mutex<HashMap<u64, HeldReport>>,
     /// Report load-time accounting (a separate record family with its own
     /// segments, so its stats never mix into `load_stats`).
     report_load_stats: StoreLoadStats,
-    /// Report keys already on disk, so a flush writes only what this process
-    /// newly analyzed.
-    persisted_reports: Mutex<std::collections::HashSet<u64>>,
+}
+
+impl StoreLayer {
+    /// The held reports, locked.
+    fn held_reports(&self) -> std::sync::MutexGuard<'_, HashMap<u64, HeldReport>> {
+        self.reports
+            .lock()
+            // lint:allow(unwrap-expect): a poisoned stripe means a solver panicked; propagating keeps fail-stop semantics
+            .expect("report state poisoned")
+    }
 }
 
 /// The session scope recorded on cells hydrated from the disk store; hits on
@@ -616,13 +630,11 @@ impl SolveCache {
         let mut store = SolveStore::open(dir)?;
         store.faults = plan;
         let (entries, load_stats) = store.load()?;
-        let mut persisted = std::collections::HashSet::with_capacity(entries.len());
         for (key, solution) in entries {
             let cell: Arc<SolveCell> = Arc::default();
             cell.set((STORE_SCOPE, solution))
                 .unwrap_or_else(|_| unreachable!("fresh cell"));
             let shard = cache.shard_of(&key);
-            persisted.insert(key.clone());
             cache.shards[shard]
                 .lock()
                 // lint:allow(unwrap-expect): a poisoned stripe means a solver panicked; propagating keeps fail-stop semantics
@@ -630,50 +642,54 @@ impl SolveCache {
                 .insert(key, cell);
         }
         let (reports, report_load_stats) = store.load_reports()?;
-        let persisted_reports = reports.keys().copied().collect();
         cache.store = Some(StoreLayer {
             store,
             load_stats,
-            persisted: Mutex::new(persisted),
+            persisted: Mutex::default(),
             reports: Mutex::new(reports),
             report_load_stats,
-            persisted_reports: Mutex::new(persisted_reports),
         });
         Ok(cache)
     }
 
-    /// Look up the finished report persisted under a
+    /// Look up and decode the finished report held under a
     /// [`structural_program_key`](crate::structural_program_key).  `None`
     /// (and no counter traffic) for a store-less cache.  A hit is counted in
-    /// [`CacheStats::report_hits`].
-    pub(crate) fn lookup_report(&self, key: u64) -> Option<Arc<StoredReport>> {
+    /// [`CacheStats::report_hits`].  A held payload that does not decode (a
+    /// record with a valid digest but a bad shape) is dropped and answered
+    /// as a miss: the cold analysis then records a fresh one, which the next
+    /// flush persists over the bad record under last-writer-wins.
+    pub(crate) fn lookup_report(&self, key: u64) -> Option<StoredReport> {
         let layer = self.store.as_ref()?;
-        let report = layer
-            .reports
-            .lock()
-            // lint:allow(unwrap-expect): a poisoned stripe means a solver panicked; propagating keeps fail-stop semantics
-            .expect("report state poisoned")
-            .get(&key)
-            .cloned()?;
-        self.counters.report_hits.fetch_add(1, Ordering::Relaxed);
-        Some(report)
+        let mut held = layer.held_reports();
+        match decode_report_payload(&held.get(&key)?.payload) {
+            Some((decoded_key, report)) if decoded_key == key => {
+                self.counters.report_hits.fetch_add(1, Ordering::Relaxed);
+                Some(report)
+            }
+            _ => {
+                held.remove(&key);
+                None
+            }
+        }
     }
 
     /// Record a finished report for later processes (and later requests of
-    /// this one).  First writer wins — the analysis is a pure function of
-    /// the key, so concurrent recordings are identical.  A no-op for a
-    /// store-less cache.
-    pub(crate) fn record_report(&self, key: u64, report: StoredReport) {
+    /// this one), encoded once into its record payload.  First writer wins —
+    /// the analysis is a pure function of the key, so concurrent recordings
+    /// are identical.  A no-op for a store-less cache.
+    pub(crate) fn record_report(&self, key: u64, report: ReportParts<'_>) {
         let Some(layer) = &self.store else {
             return;
         };
-        layer
-            .reports
-            .lock()
-            // lint:allow(unwrap-expect): a poisoned stripe means a solver panicked; propagating keeps fail-stop semantics
-            .expect("report state poisoned")
-            .entry(key)
-            .or_insert_with(|| Arc::new(report));
+        if layer.held_reports().contains_key(&key) {
+            return;
+        }
+        let entry = HeldReport {
+            payload: encode_report_payload(key, report).into_boxed_str(),
+            on_disk: false,
+        };
+        layer.held_reports().entry(key).or_insert(entry);
     }
 
     /// The report-record load accounting (`None` for a store-less cache).
@@ -726,23 +742,13 @@ impl SolveCache {
                 }
             }
         }
-        // Collect analyzed-here reports not yet on disk.
-        let fresh_reports: Vec<(u64, Arc<StoredReport>)> = {
-            let persisted = layer
-                .persisted_reports
-                .lock()
-                // lint:allow(unwrap-expect): a poisoned stripe means a solver panicked; propagating keeps fail-stop semantics
-                .expect("report state poisoned");
-            layer
-                .reports
-                .lock()
-                // lint:allow(unwrap-expect): a poisoned stripe means a solver panicked; propagating keeps fail-stop semantics
-                .expect("report state poisoned")
-                .iter()
-                .filter(|(key, _)| !persisted.contains(key))
-                .map(|(key, report)| (*key, Arc::clone(report)))
-                .collect()
-        };
+        // Copy out the report payloads not yet on disk.
+        let fresh_reports: Vec<(u64, String)> = layer
+            .held_reports()
+            .iter()
+            .filter(|(_, entry)| !entry.on_disk)
+            .map(|(key, entry)| (*key, entry.payload.to_string()))
+            .collect();
         // Nothing new in either family: write no segment file at all, so a
         // drop after an explicit flush cannot litter shared store
         // directories with empty segments.
@@ -769,18 +775,17 @@ impl SolveCache {
         let reports_appended = if fresh_reports.is_empty() {
             0
         } else {
-            let refs: Vec<(u64, &StoredReport)> = fresh_reports
-                .iter()
-                .map(|(key, report)| (*key, report.as_ref()))
-                .collect();
-            layer.store.append_reports(&refs)?;
-            let mut persisted = layer
-                .persisted_reports
-                .lock()
-                // lint:allow(unwrap-expect): a poisoned stripe means a solver panicked; propagating keeps fail-stop semantics
-                .expect("report state poisoned");
-            for (key, _) in &fresh_reports {
-                persisted.insert(*key);
+            let payloads: Vec<&str> = fresh_reports.iter().map(|(_, p)| p.as_str()).collect();
+            layer.store.append_reports(&payloads)?;
+            // A payload replaced since the copy (dropped at a replay and
+            // recorded again) stays pending unless it is the same bytes.
+            let mut held = layer.held_reports();
+            for (key, payload) in &fresh_reports {
+                if let Some(entry) = held.get_mut(key) {
+                    if *entry.payload == **payload {
+                        entry.on_disk = true;
+                    }
+                }
             }
             fresh_reports.len()
         };

@@ -45,15 +45,23 @@
 //! ## Hydration and inspection
 //!
 //! Opening a cache over a store ([`SolveCache::with_store`](crate::SolveCache::with_store))
-//! reads each segment once and digest-checks and decodes its record lines
-//! in parallel on the worker pool, under the process's worker budget
-//! (`SOAP_THREADS` / `--threads`).  Decoding is a pure function of the
-//! line and the pool keeps line order, so the merge, the counts and the
-//! notes are the same under any budget.  Only hydration repairs: a segment
-//! with corrupt records has its good records salvaged into a fresh segment
-//! and is then renamed `*.quarantined`.  The inspection passes
-//! [`SolveStore::stat`] and [`SolveStore::report_stat`] (`soap-cli cache
-//! stat`) count and note the same corruption but write and rename nothing.
+//! reads each segment once and checks its record lines in parallel on the
+//! worker pool, under the process's worker budget (`SOAP_THREADS` /
+//! `--threads`).  A solve record is digest-checked and decoded there; a
+//! report record is only digest-checked and has its key read from the fixed
+//! `{"key":N,` prefix of its payload, and the loading thread keeps the
+//! payload itself, so no report is decoded at open.  A report payload is
+//! shape-checked when a replay decodes it: one that does not decode is
+//! dropped and answered as a miss, and the cold analysis records a fresh one
+//! for the next flush.
+//! The per-line work is a pure function of the line and the pool keeps line
+//! order, so the merge, the counts and the notes are the same under any
+//! budget.  Only hydration repairs: a segment with corrupt records has its
+//! good records salvaged into a fresh segment and is then renamed
+//! `*.quarantined`.  The inspection passes [`SolveStore::stat`] and
+//! [`SolveStore::report_stat`] (`soap-cli cache stat`) count and note the
+//! same corruption — digest failures, for report records — but write and
+//! rename nothing.
 //!
 //! ## Report records (`soap-report-store/1`)
 //!
@@ -68,7 +76,10 @@
 //! line, versioned header, staged-rename writes, last-writer-wins merge,
 //! floats as raw bit patterns — and degraded reports are never stored, so a
 //! warm hit replays a complete cold analysis byte-for-byte while skipping
-//! enumeration, merge, instantiation *and* solving.
+//! enumeration, merge, instantiation *and* solving.  A cache holds each
+//! report as the payload of its record line — encoded once, straight from
+//! the finished analysis, decoded only on a replay, and written by a flush
+//! behind its digest — so a retained report costs about its line length.
 
 use crate::analysis::{ArrayBound, SubgraphIntensity};
 use crate::cache::{
@@ -84,7 +95,6 @@ use std::hash::Hash;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// The format-version header every solve segment of the current format
 /// starts with.
@@ -196,12 +206,12 @@ pub(crate) type StoreEntry = (CanonicalKey, Result<CanonicalSolution, AnalysisEr
 /// Every hydrated solve outcome, by canonical key.
 pub(crate) type StoredSolutions = HashMap<CanonicalKey, Result<CanonicalSolution, AnalysisError>>;
 
-/// The persisted portion of a finished, non-degraded
-/// [`ProgramAnalysis`](crate::ProgramAnalysis): everything that is a pure
-/// function of the structural program key.  The program *name*, phase
-/// timings, and solver accounting measure the run (and are respliced by the
-/// warm path); `degraded` is always `false` by construction — degraded
-/// reports are never recorded.
+/// A replayed report: the persisted portion of a finished, non-degraded
+/// [`ProgramAnalysis`](crate::ProgramAnalysis), decoded from its record line.
+/// Everything here is a pure function of the structural program key.  The
+/// program *name*, phase timings, and solver accounting measure the run (and
+/// are respliced by the warm path); `degraded` is always `false` by
+/// construction — degraded reports are never recorded.
 #[derive(Clone, Debug)]
 pub(crate) struct StoredReport {
     /// Per-array Theorem-1 contributions.
@@ -217,10 +227,22 @@ pub(crate) struct StoredReport {
 /// One persisted report entry: the structural program key and the report.
 pub(crate) type ReportEntry = (u64, StoredReport);
 
-/// [`report_record_from_payload`] with the report already shared, as the cache
-/// holds it.
-fn shared_report_record(payload: &Value) -> Option<(u64, Arc<StoredReport>)> {
-    report_record_from_payload(payload).map(|(key, report)| (key, Arc::new(report)))
+/// The parts of a finished analysis that a report record persists, borrowed
+/// from it: what [`encode_report_payload`] writes.
+#[derive(Clone, Copy)]
+pub(crate) struct ReportParts<'a> {
+    pub per_array: &'a [ArrayBound],
+    pub subgraphs: &'a [SubgraphIntensity],
+    pub bound: &'a Expr,
+    pub notes: &'a [String],
+}
+
+/// A report as a cache holds it: the JSON payload of its record line, byte
+/// for byte, and whether a segment of the store already holds that record.
+#[derive(Clone, Debug)]
+pub(crate) struct HeldReport {
+    pub payload: Box<str>,
+    pub on_disk: bool,
 }
 
 /// Accounting of one store load (hydration at
@@ -343,26 +365,27 @@ impl SolveStore {
         self.family_files(REPORT_FAMILY.prefix)
     }
 
-    /// Load every segment of one family, decoding records with `decode` and
-    /// applying the retry / fault-injection / header-check discipline shared
-    /// by both record families; under [`Repair::Salvage`] a segment with
-    /// corrupt records is also salvaged and quarantined.  Decoded records are
-    /// returned in segment order (the caller merges last-writer-wins);
-    /// `stats.entries` is left for the caller to fill after its merge.
+    /// Load every segment of one family, checking records with `decode` and
+    /// handing each good one to `keep` with its line, under the retry /
+    /// fault-injection / header-check discipline shared by both record
+    /// families; under [`Repair::Salvage`] a segment with corrupt records is
+    /// also salvaged and quarantined.  Records reach `keep` in segment order
+    /// (the caller merges last-writer-wins); `stats.entries` is left for the
+    /// caller to fill after its merge.
     ///
-    /// Each record line is digest-checked, parsed and decoded on the worker
-    /// pool: that is a pure function of the line, and the pool's collect
-    /// keeps line order, so the records, counts and notes do not depend on
-    /// the worker budget.  Everything that touches the file system stays
-    /// serial, one segment at a time.
+    /// `decode` runs on the worker pool: it is a pure function of the line,
+    /// and the pool's collect keeps line order, so the records, counts and
+    /// notes do not depend on the worker budget.  `keep` runs on the loading
+    /// thread, so whatever it retains is allocated there.  Everything that
+    /// touches the file system stays serial, one segment at a time.
     fn load_family<T: Send>(
         &self,
         family: &Family,
-        decode: impl Fn(&Value) -> Option<T> + Sync,
+        decode: impl Fn(&str) -> Option<T> + Sync,
+        mut keep: impl FnMut(T, &str),
         repair: Repair,
-    ) -> io::Result<(Vec<T>, StoreLoadStats)> {
+    ) -> io::Result<StoreLoadStats> {
         let mut stats = StoreLoadStats::default();
-        let mut decoded: Vec<T> = Vec::new();
         for path in self.family_files(family.prefix)? {
             let name = path
                 .file_name()
@@ -405,17 +428,14 @@ impl SolveStore {
             }
             stats.segments += 1;
             let lines: Vec<&str> = lines.filter(|line| !line.is_empty()).collect();
-            let records: Vec<Option<T>> = lines
-                .par_iter()
-                .map(|line| decode(&checked_payload(line)?))
-                .collect();
+            let records: Vec<Option<T>> = lines.par_iter().map(|line| decode(line)).collect();
             // Indices of the lines that failed, ascending.
             let mut skipped: Vec<usize> = Vec::new();
-            for (i, record) in records.into_iter().enumerate() {
+            for (i, (record, line)) in records.into_iter().zip(&lines).enumerate() {
                 match record {
                     Some(record) => {
                         stats.records += 1;
-                        decoded.push(record);
+                        keep(record, line);
                     }
                     None => skipped.push(i),
                 }
@@ -441,11 +461,11 @@ impl SolveStore {
             // none), so it never costs store entries; a failed salvage or
             // rename is only noted — both are hygiene, not a load
             // precondition.
-            let good_lines: Vec<String> = lines
+            let good_lines: Vec<&str> = lines
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| skipped.binary_search(i).is_err())
-                .map(|(_, line)| line.to_string())
+                .map(|(_, line)| *line)
                 .collect();
             let salvaged = if good_lines.is_empty() {
                 Ok(())
@@ -468,20 +488,29 @@ impl SolveStore {
             }
             stats.notes.push(note);
         }
-        Ok((decoded, stats))
+        Ok(stats)
     }
 
-    /// Load every segment of one family and fold its records with the
+    /// Load every segment of one family and fold its records, turned into
+    /// map entries by `entry` on the loading thread, with the
     /// last-writer-wins merge (later records overwrite earlier ones per key).
-    fn load_merged<K: Eq + Hash + Send, V: Send>(
+    fn load_merged<T: Send, K: Eq + Hash, V>(
         &self,
         family: &Family,
-        decode: impl Fn(&Value) -> Option<(K, V)> + Sync,
+        decode: impl Fn(&str) -> Option<T> + Sync,
+        entry: impl Fn(T, &str) -> (K, V),
         repair: Repair,
     ) -> io::Result<(HashMap<K, V>, StoreLoadStats)> {
-        let (records, mut stats) = self.load_family(family, decode, repair)?;
-        let mut merged = HashMap::with_capacity(records.len());
-        merged.extend(records);
+        let mut merged = HashMap::new();
+        let mut stats = self.load_family(
+            family,
+            decode,
+            |record, line| {
+                let (key, value) = entry(record, line);
+                merged.insert(key, value);
+            },
+            repair,
+        )?;
         stats.entries = merged.len();
         Ok((merged, stats))
     }
@@ -489,30 +518,56 @@ impl SolveStore {
     /// Hydrate every solve record (salvaging and quarantining corrupt
     /// segments), merged last-writer-wins.
     pub(crate) fn load(&self) -> io::Result<(StoredSolutions, StoreLoadStats)> {
-        self.load_merged(&SOLVE_FAMILY, solve_record_from_payload, Repair::Salvage)
+        self.load_merged(
+            &SOLVE_FAMILY,
+            decode_record,
+            |entry, _| entry,
+            Repair::Salvage,
+        )
     }
 
-    /// Hydrate every report record (salvaging and quarantining corrupt
-    /// segments), merged last-writer-wins.
-    pub(crate) fn load_reports(
-        &self,
-    ) -> io::Result<(HashMap<u64, Arc<StoredReport>>, StoreLoadStats)> {
-        self.load_merged(&REPORT_FAMILY, shared_report_record, Repair::Salvage)
+    /// Hydrate every report record (salvaging and quarantining segments with
+    /// digest failures), merged last-writer-wins.  The payloads are kept as
+    /// they are, marked as on disk; none is decoded.
+    pub(crate) fn load_reports(&self) -> io::Result<(HashMap<u64, HeldReport>, StoreLoadStats)> {
+        self.load_merged(
+            &REPORT_FAMILY,
+            report_line_key,
+            |key, line| {
+                let held = HeldReport {
+                    payload: Box::from(&line[DIGEST_PREFIX..]),
+                    on_disk: true,
+                };
+                (key, held)
+            },
+            Repair::Salvage,
+        )
     }
 
     /// Load-time accounting of the solve records without keeping the entries
     /// (for `cache stat`).  Read-only: corrupt records are counted and noted,
     /// but no file is written or renamed.
     pub fn stat(&self) -> io::Result<StoreLoadStats> {
-        self.load_merged(&SOLVE_FAMILY, solve_record_from_payload, Repair::ReadOnly)
-            .map(|(_, stats)| stats)
+        self.load_merged(
+            &SOLVE_FAMILY,
+            decode_record,
+            |(key, _), _| (key, ()),
+            Repair::ReadOnly,
+        )
+        .map(|(_, stats)| stats)
     }
 
     /// Load-time accounting of the report records without keeping the
-    /// entries (for `cache stat`).  Read-only, like [`SolveStore::stat`].
+    /// entries (for `cache stat`).  Read-only, like [`SolveStore::stat`], and
+    /// checking what hydration checks: digests and keys.
     pub fn report_stat(&self) -> io::Result<StoreLoadStats> {
-        self.load_merged(&REPORT_FAMILY, shared_report_record, Repair::ReadOnly)
-            .map(|(_, stats)| stats)
+        self.load_merged(
+            &REPORT_FAMILY,
+            report_line_key,
+            |key, _| (key, ()),
+            Repair::ReadOnly,
+        )
+        .map(|(_, stats)| stats)
     }
 
     /// Solve segments quarantined by earlier loads
@@ -557,24 +612,24 @@ impl SolveStore {
             .iter()
             .map(|(key, sol)| encode_record(key, sol))
             .collect();
-        self.write_segment(&SOLVE_FAMILY, lines)
+        self.write_segment(&SOLVE_FAMILY, lines.iter().map(String::as_str).collect())
     }
 
-    /// Persist finished-report records as one new `rpt-` segment file.
-    /// Returns the segment path.  Same staging + rename discipline as solve
-    /// segments.
-    pub(crate) fn append_reports(&self, entries: &[(u64, &StoredReport)]) -> io::Result<PathBuf> {
-        let lines: Vec<String> = entries
+    /// Persist report-record payloads, each behind its digest, as one new
+    /// `rpt-` segment file.  Returns the segment path.  Same staging + rename
+    /// discipline as solve segments.
+    pub(crate) fn append_reports(&self, payloads: &[&str]) -> io::Result<PathBuf> {
+        let lines: Vec<String> = payloads
             .iter()
-            .map(|(key, report)| encode_report_record(*key, report))
+            .map(|payload| record_line(payload))
             .collect();
-        self.write_segment(&REPORT_FAMILY, lines)
+        self.write_segment(&REPORT_FAMILY, lines.iter().map(String::as_str).collect())
     }
 
     /// Write already-encoded record lines as one new uniquely named segment
     /// of the given family (the shared tail of [`SolveStore::append`],
     /// [`SolveStore::append_reports`], and load-time salvage).
-    fn write_segment(&self, family: &Family, mut lines: Vec<String>) -> io::Result<PathBuf> {
+    fn write_segment(&self, family: &Family, mut lines: Vec<&str>) -> io::Result<PathBuf> {
         let nanos = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_nanos())
@@ -596,7 +651,7 @@ impl SolveStore {
         let mut text = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum::<usize>() + 32);
         text.push_str(family.header);
         text.push('\n');
-        for line in &lines {
+        for line in lines {
             text.push_str(line);
             text.push('\n');
         }
@@ -673,18 +728,32 @@ pub(crate) fn encode_record(
     ]);
     // lint:allow(unwrap-expect): record payloads are plain maps of strings and numbers; serialization cannot fail
     let json = serde_json::to_string(&payload).expect("record serializes");
+    record_line(&json)
+}
+
+/// Length of the `<16-hex digest> ` prefix of every record line.
+const DIGEST_PREFIX: usize = 17;
+
+/// The record line (without the trailing newline) of a JSON payload: the
+/// payload behind its digest.
+fn record_line(json: &str) -> String {
     format!("{:016x} {json}", fnv1a64(json.as_bytes()))
 }
 
-/// The JSON payload of one record line of either family; `None` when the
-/// line fails its digest check or does not parse.
-fn checked_payload(line: &str) -> Option<Value> {
+/// The JSON payload of one record line of either family, after its digest
+/// check; `None` when the line fails it.
+fn checked_json(line: &str) -> Option<&str> {
     let (digest, json) = line.split_once(' ')?;
     let expected = u64::from_str_radix(digest, 16).ok()?;
     if digest.len() != 16 || fnv1a64(json.as_bytes()) != expected {
         return None;
     }
-    serde_json::from_str(json).ok()
+    Some(json)
+}
+
+/// Decode a solve record line; `None` on a digest or shape failure.
+fn decode_record(line: &str) -> Option<StoreEntry> {
+    solve_record_from_payload(&serde_json::from_str(checked_json(line)?).ok()?)
 }
 
 /// Decode a solve record's payload; `None` on any shape failure.
@@ -975,252 +1044,608 @@ fn solution_from_value(v: &Value) -> Result<Result<CanonicalSolution, AnalysisEr
 // payload is `{"key": <u64 structural program key>, "report": {...}}` with the
 // finished per-array Theorem-1 terms, the evaluated subgraphs, and the total
 // bound — everything a warm path needs to resplice a `ProgramAnalysis`
-// without touching the SDG pipeline.
+// without touching the SDG pipeline.  The writer (`JsonOut`) prints exactly
+// the bytes `serde_json` prints for the payload's `Value` tree (`Expr` and
+// the intensity's `x0` in their serde wire format, strings escaped the same
+// way) without building the tree, and a replay reads that layout back the
+// same way (`JsonIn`).
 
-/// Encode a report-record line (without the trailing newline).
-pub(crate) fn encode_report_record(key: u64, report: &StoredReport) -> String {
-    let payload = Value::Object(vec![
-        ("key".to_string(), Value::Int(i128::from(key))),
-        ("report".to_string(), report_to_value(report)),
-    ]);
-    // lint:allow(unwrap-expect): record payloads are plain maps of strings and numbers; serialization cannot fail
-    let json = serde_json::to_string(&payload).expect("report record serializes");
-    format!("{:016x} {json}", fnv1a64(json.as_bytes()))
+/// Encode the payload of a report record straight from the finished
+/// analysis' parts.  Its record line — the payload behind its FNV-1a digest
+/// — is built only when a flush writes it: the digest is a serial multiply
+/// per byte, about as costly as writing the payload, and stays off the
+/// request path.
+pub(crate) fn encode_report_payload(key: u64, report: ReportParts<'_>) -> String {
+    let mut w = JsonOut(Vec::with_capacity(4096));
+    w.raw("{\"key\":");
+    w.u64(key);
+    w.raw(",\"report\":{\"per_array\":[");
+    for (i, b) in report.per_array.iter().enumerate() {
+        w.comma(i);
+        w.raw("{\"array\":");
+        w.str(&b.array);
+        w.raw(",\"vertices\":");
+        w.poly(&b.vertex_count);
+        w.raw(",\"rho\":");
+        w.expr(&b.rho);
+        w.raw(",\"sigma\":");
+        w.rational_pair(b.sigma);
+        w.raw(",\"best\":");
+        w.str_list(&b.best_subgraph);
+        w.raw(",\"bound\":");
+        w.expr(&b.bound);
+        w.raw("}");
+    }
+    w.raw("],\"subgraphs\":[");
+    for (i, s) in report.subgraphs.iter().enumerate() {
+        w.comma(i);
+        let r = &s.intensity;
+        w.raw("{\"arrays\":");
+        w.str_list(&s.arrays);
+        w.raw(",\"intensity\":{\"name\":");
+        w.str(&r.name);
+        w.raw(",\"sigma\":");
+        w.rational_pair(r.sigma);
+        w.raw(",\"chi\":");
+        w.u64(r.chi_coeff.to_bits());
+        w.raw(",\"rho\":");
+        w.expr(&r.rho);
+        w.raw(",\"x0\":");
+        match &r.x0 {
+            Some(x0) => w.expr(x0),
+            None => w.raw("null"),
+        }
+        w.raw(",\"exps\":[");
+        for (j, (var, e)) in r.tile_exponents.iter().enumerate() {
+            w.comma(j);
+            w.raw("[");
+            w.str(var);
+            w.raw(",");
+            w.rational_pair(*e);
+            w.raw("]");
+        }
+        w.raw("],\"coeffs\":[");
+        for (j, (var, c)) in r.tile_coeffs.iter().enumerate() {
+            w.comma(j);
+            w.raw("[");
+            w.str(var);
+            w.raw(",");
+            w.u64(c.to_bits());
+            w.raw("]");
+        }
+        w.raw("]},\"rho_ref\":");
+        w.u64(s.rho_ref.to_bits());
+        w.raw("}");
+    }
+    w.raw("],\"bound\":");
+    w.expr(report.bound);
+    w.raw(",\"notes\":");
+    w.str_list(report.notes);
+    w.raw("}}");
+    // lint:allow(unwrap-expect): every byte written is ASCII or comes whole from a `&str`
+    String::from_utf8(w.0).expect("report payloads are UTF-8")
 }
 
-/// Decode a report record's payload; `None` on any shape failure.
-fn report_record_from_payload(payload: &Value) -> Option<ReportEntry> {
-    let key = payload
-        .get("key")?
-        .as_i128()
-        .and_then(|n| u64::try_from(n).ok())?;
-    let report = report_from_value(payload.get("report")?).ok()?;
+/// Decode a report record's payload text; `None` on a parse or shape
+/// failure.  The digest is not checked here: a held payload was checked when
+/// it was hydrated, or encoded by this process.
+pub(crate) fn decode_report_payload(payload: &str) -> Option<ReportEntry> {
+    let r = &mut JsonIn {
+        text: payload,
+        pos: 0,
+    };
+    r.lit("{\"key\":")?;
+    let key = r.u64()?;
+    r.lit(",\"report\":{\"per_array\":")?;
+    let per_array = r.list(|r| {
+        r.lit("{\"array\":")?;
+        let array = r.string()?;
+        r.lit(",\"vertices\":")?;
+        let vertex_count = r.poly()?;
+        r.lit(",\"rho\":")?;
+        let rho = r.expr()?;
+        r.lit(",\"sigma\":")?;
+        let sigma = r.rational_pair()?;
+        r.lit(",\"best\":")?;
+        let best_subgraph = r.list(JsonIn::string)?;
+        r.lit(",\"bound\":")?;
+        let bound = r.expr()?;
+        r.lit("}")?;
+        Some(ArrayBound {
+            array,
+            vertex_count,
+            rho,
+            sigma,
+            best_subgraph,
+            bound,
+        })
+    })?;
+    r.lit(",\"subgraphs\":")?;
+    let subgraphs = r.list(|r| {
+        r.lit("{\"arrays\":")?;
+        let arrays = r.list(JsonIn::string)?;
+        r.lit(",\"intensity\":{\"name\":")?;
+        let name = r.string()?;
+        r.lit(",\"sigma\":")?;
+        let sigma = r.rational_pair()?;
+        r.lit(",\"chi\":")?;
+        let chi_coeff = r.f64_bits()?;
+        r.lit(",\"rho\":")?;
+        let rho = r.expr()?;
+        r.lit(",\"x0\":")?;
+        let x0 = if r.lit("null").is_some() {
+            None
+        } else {
+            Some(r.expr()?)
+        };
+        r.lit(",\"exps\":")?;
+        let tile_exponents = r.list(|r| r.pair(JsonIn::rational_pair))?;
+        r.lit(",\"coeffs\":")?;
+        let tile_coeffs = r.list(|r| r.pair(JsonIn::f64_bits))?;
+        r.lit("},\"rho_ref\":")?;
+        let rho_ref = r.f64_bits()?;
+        r.lit("}")?;
+        let intensity = IntensityResult {
+            name,
+            sigma,
+            chi_coeff,
+            rho,
+            x0,
+            tile_exponents,
+            tile_coeffs,
+        };
+        Some(SubgraphIntensity {
+            arrays,
+            intensity,
+            rho_ref,
+        })
+    })?;
+    r.lit(",\"bound\":")?;
+    let bound = r.expr()?;
+    r.lit(",\"notes\":")?;
+    let notes = r.list(JsonIn::string)?;
+    r.lit("}}")?;
+    if r.pos != payload.len() {
+        return None;
+    }
+    let report = StoredReport {
+        per_array,
+        subgraphs,
+        bound,
+        notes,
+    };
     Some((key, report))
 }
 
-/// An exact-coefficient polynomial as `[[ [[var, pow], ...], [num, den] ], ...]`.
-/// `Polynomial`'s terms are BTreeMap-ordered, so encoding is deterministic and
-/// the rebuilt value renders byte-identically.
-fn poly_to_value(p: &Polynomial) -> Value {
-    Value::Array(
-        p.terms()
-            .map(|(mono, coeff)| {
-                let vars = Value::Array(
-                    mono.0
-                        .iter()
-                        .map(|(v, e)| {
-                            Value::Array(vec![Value::Str(v.clone()), Value::Int(i128::from(*e))])
-                        })
-                        .collect(),
-                );
-                Value::Array(vec![vars, rational_to_value(*coeff)])
-            })
-            .collect(),
-    )
+/// The structural key of a report record line, read from the fixed
+/// `{"key":N,` prefix of its payload after the digest check, without parsing
+/// the rest.  `None` on a digest failure or a malformed prefix.
+fn report_line_key(line: &str) -> Option<u64> {
+    let r = &mut JsonIn {
+        text: checked_json(line)?,
+        pos: 0,
+    };
+    r.lit("{\"key\":")?;
+    let key = r.u64()?;
+    r.lit(",")?;
+    Some(key)
 }
 
-fn poly_from_value(v: &Value) -> Result<Polynomial, DeError> {
-    let terms = v
-        .as_array()
-        .ok_or_else(|| DeError::msg("poly: expected array of terms"))?
-        .iter()
-        .map(|term| {
-            let [vars, coeff] = term
-                .as_array()
-                .and_then(|a| <&[Value; 2]>::try_from(a).ok())
-                .ok_or_else(|| DeError::msg("poly: term shape"))?;
+/// The two decimal digits of `n < 100`.
+fn digit_pair(n: usize) -> &'static [u8] {
+    const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+        2021222324252627282930313233343536373839\
+        4041424344454647484950515253545556575859\
+        6061626364656667686970717273747576777879\
+        8081828384858687888990919293949596979899";
+    &PAIRS[2 * n..2 * n + 2]
+}
+
+/// JSON text under construction, appended byte by byte with no `Value`
+/// tree: the same bytes `serde_json` prints for the equivalent tree.
+struct JsonOut(Vec<u8>);
+
+impl JsonOut {
+    fn raw(&mut self, s: &str) {
+        self.0.extend_from_slice(s.as_bytes());
+    }
+
+    /// The `,` before every item of a sequence but the first.
+    fn comma(&mut self, index: usize) {
+        if index > 0 {
+            self.0.push(b',');
+        }
+    }
+
+    /// `n` in decimal.  Four digits per division: raw `f64` bit patterns
+    /// run to 19–20 digits, and one division per digit is a long serial
+    /// chain.
+    fn u64(&mut self, mut n: u64) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        while n >= 10_000 {
+            let four = (n % 10_000) as usize;
+            n /= 10_000;
+            at -= 4;
+            digits[at..at + 2].copy_from_slice(digit_pair(four / 100));
+            digits[at + 2..at + 4].copy_from_slice(digit_pair(four % 100));
+        }
+        let mut n = n as usize;
+        while n >= 10 {
+            at -= 2;
+            digits[at..at + 2].copy_from_slice(digit_pair(n % 100));
+            n /= 100;
+        }
+        if n > 0 || at == digits.len() {
+            at -= 1;
+            digits[at] = b'0' + n as u8;
+        }
+        self.0.extend_from_slice(&digits[at..]);
+    }
+
+    /// `n` in decimal, as `i128`'s `Display` prints it.
+    fn i128(&mut self, n: i128) {
+        const TEN_POW_19: u128 = 10_000_000_000_000_000_000;
+        if n < 0 {
+            self.0.push(b'-');
+        }
+        let m = n.unsigned_abs();
+        match u64::try_from(m) {
+            Ok(m) => self.u64(m),
+            Err(_) => {
+                // |n| ≤ 2^127 < 10^19 · 2^64: the high part fits a u64, and
+                // the low part is the last 19 digits, zero-padded.
+                self.u64((m / TEN_POW_19) as u64);
+                let mut low = (m % TEN_POW_19) as u64;
+                let mut digits = [b'0'; 19];
+                for d in digits.iter_mut().rev() {
+                    *d = b'0' + (low % 10) as u8;
+                    low /= 10;
+                }
+                self.0.extend_from_slice(&digits);
+            }
+        }
+    }
+
+    /// `s` as a JSON string, escaped exactly as `serde_json` escapes it.
+    fn str(&mut self, s: &str) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let bytes = s.as_bytes();
+        self.0.push(b'"');
+        let mut start = 0;
+        // Every byte that needs escaping is ASCII, so each cut below falls
+        // on a char boundary.
+        for (i, &b) in bytes.iter().enumerate() {
+            let escaped: &[u8] = match b {
+                b'"' => b"\\\"",
+                b'\\' => b"\\\\",
+                b'\n' => b"\\n",
+                b'\r' => b"\\r",
+                b'\t' => b"\\t",
+                0..=0x1f => &[
+                    b'\\',
+                    b'u',
+                    b'0',
+                    b'0',
+                    HEX[usize::from(b >> 4)],
+                    HEX[usize::from(b & 0xf)],
+                ],
+                _ => continue,
+            };
+            self.0.extend_from_slice(&bytes[start..i]);
+            self.0.extend_from_slice(escaped);
+            start = i + 1;
+        }
+        self.0.extend_from_slice(&bytes[start..]);
+        self.0.push(b'"');
+    }
+
+    fn str_list(&mut self, items: &[String]) {
+        self.raw("[");
+        for (i, item) in items.iter().enumerate() {
+            self.comma(i);
+            self.str(item);
+        }
+        self.raw("]");
+    }
+
+    /// A rational as the store's `[num, den]` pair.
+    fn rational_pair(&mut self, r: Rational) {
+        self.raw("[");
+        self.i128(r.numer());
+        self.raw(",");
+        self.i128(r.denom());
+        self.raw("]");
+    }
+
+    /// A rational in its serde wire format, `{"num":n,"den":d}`.
+    fn rational_object(&mut self, r: Rational) {
+        self.raw("{\"num\":");
+        self.i128(r.numer());
+        self.raw(",\"den\":");
+        self.i128(r.denom());
+        self.raw("}");
+    }
+
+    /// An `Expr` in its serde wire format (`{"Sym":"N"}`, `{"Add":[…]}`,
+    /// `{"Pow":[…, {…}]}`).
+    fn expr(&mut self, e: &Expr) {
+        let (tag, items) = match e {
+            Expr::Num(r) => {
+                self.raw("{\"Num\":");
+                self.rational_object(*r);
+                self.raw("}");
+                return;
+            }
+            Expr::Sym(s) => {
+                self.raw("{\"Sym\":");
+                self.str(s.as_str());
+                self.raw("}");
+                return;
+            }
+            Expr::Pow(base, exp) => {
+                self.raw("{\"Pow\":[");
+                self.expr(base);
+                self.raw(",");
+                self.rational_object(*exp);
+                self.raw("]}");
+                return;
+            }
+            Expr::Add(items) => ("{\"Add\":[", items),
+            Expr::Mul(items) => ("{\"Mul\":[", items),
+            Expr::Max(items) => ("{\"Max\":[", items),
+            Expr::Min(items) => ("{\"Min\":[", items),
+        };
+        self.raw(tag);
+        for (i, item) in items.iter().enumerate() {
+            self.comma(i);
+            self.expr(item);
+        }
+        self.raw("]}");
+    }
+
+    /// An exact-coefficient polynomial as
+    /// `[[ [[var, pow], ...], [num, den] ], ...]`.  `Polynomial`'s terms are
+    /// BTreeMap-ordered, so encoding is deterministic and the rebuilt value
+    /// renders byte-identically.
+    fn poly(&mut self, p: &Polynomial) {
+        self.raw("[");
+        for (i, (mono, coeff)) in p.terms().enumerate() {
+            self.comma(i);
+            self.raw("[[");
+            for (j, (var, pow)) in mono.0.iter().enumerate() {
+                self.comma(j);
+                self.raw("[");
+                self.str(var);
+                self.raw(",");
+                self.u64(u64::from(*pow));
+                self.raw("]");
+            }
+            self.raw("],");
+            self.rational_pair(*coeff);
+            self.raw("]");
+        }
+        self.raw("]");
+    }
+}
+
+/// A cursor over a report payload in the layout [`JsonOut`] writes —
+/// compact JSON, fields in the writer's order — reading it straight into
+/// the report's types with no `Value` tree.  It decodes strings, integers
+/// and rationals as the `serde_json` stand-in and the `Value` decoders do;
+/// anything outside that layout fails, and the replay answers it as a miss.
+struct JsonIn<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl JsonIn<'_> {
+    /// Consume `s` if the input continues with it.
+    fn lit(&mut self, s: &str) -> Option<()> {
+        let rest = self.text.get(self.pos..)?;
+        if rest.starts_with(s) {
+            self.pos += s.len();
+            Some(())
+        } else {
+            None
+        }
+    }
+
+    /// A JSON integer: an optional `-` and at least one digit.
+    fn i128(&mut self) -> Option<i128> {
+        let negative = self.lit("-").is_some();
+        let start = self.pos;
+        // Accumulated negatively, so `i128::MIN` parses too.
+        let mut n: i128 = 0;
+        while let Some(d) = self
+            .text
+            .as_bytes()
+            .get(self.pos)
+            .filter(|b| b.is_ascii_digit())
+        {
+            n = n.checked_mul(10)?.checked_sub(i128::from(d - b'0'))?;
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return None;
+        }
+        if negative {
+            Some(n)
+        } else {
+            n.checked_neg()
+        }
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        u64::try_from(self.i128()?).ok()
+    }
+
+    /// An `f64` stored as its raw bit pattern.
+    fn f64_bits(&mut self) -> Option<f64> {
+        self.u64().map(f64::from_bits)
+    }
+
+    /// A JSON string, unescaped.
+    fn string(&mut self) -> Option<String> {
+        self.lit("\"")?;
+        let mut out = String::new();
+        loop {
+            // Copy the run up to the next quote or backslash; both are
+            // ASCII, so every cut falls on a char boundary.
+            let rest = self.text.get(self.pos..)?;
+            let run = rest.find(['"', '\\'])?;
+            out.push_str(&rest[..run]);
+            self.pos += run + 1;
+            if rest.as_bytes()[run] == b'"' {
+                return Some(out);
+            }
+            let unescaped = match *self.text.as_bytes().get(self.pos)? {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                b'u' => {
+                    let hex = self.text.get(self.pos + 1..self.pos + 5)?;
+                    let code = u32::from_str_radix(hex, 16).ok()?;
+                    self.pos += 4;
+                    char::from_u32(code).unwrap_or('\u{fffd}')
+                }
+                _ => return None,
+            };
+            out.push(unescaped);
+            self.pos += 1;
+        }
+    }
+
+    /// A JSON array of `item`s.
+    fn list<T>(&mut self, mut item: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        self.lit("[")?;
+        let mut out = Vec::new();
+        if self.lit("]").is_some() {
+            return Some(out);
+        }
+        loop {
+            out.push(item(self)?);
+            if self.lit("]").is_some() {
+                return Some(out);
+            }
+            self.lit(",")?;
+        }
+    }
+
+    /// A `[name, value]` pair.
+    fn pair<T>(&mut self, value: impl FnOnce(&mut Self) -> Option<T>) -> Option<(String, T)> {
+        self.lit("[")?;
+        let name = self.string()?;
+        self.lit(",")?;
+        let value = value(self)?;
+        self.lit("]")?;
+        Some((name, value))
+    }
+
+    /// A rational as the store's `[num, den]` pair.
+    fn rational_pair(&mut self) -> Option<Rational> {
+        self.lit("[")?;
+        let num = self.i128()?;
+        self.lit(",")?;
+        let den = self.i128()?;
+        self.lit("]")?;
+        (den != 0).then(|| Rational::new(num, den))
+    }
+
+    /// A rational in its serde wire format, `{"num":n,"den":d}`.
+    fn rational_object(&mut self) -> Option<Rational> {
+        self.lit("{\"num\":")?;
+        let num = self.i128()?;
+        self.lit(",\"den\":")?;
+        let den = self.i128()?;
+        self.lit("}")?;
+        (den != 0).then(|| Rational::new(num, den))
+    }
+
+    /// An `Expr` in its serde wire format, rebuilt as `Expr::from_value`
+    /// rebuilds it (variants as written, nothing re-simplified).
+    fn expr(&mut self) -> Option<Expr> {
+        self.lit("{\"")?;
+        let e = if self.lit("Num\":").is_some() {
+            Expr::Num(self.rational_object()?)
+        } else if self.lit("Sym\":").is_some() {
+            Expr::sym(self.string()?)
+        } else if self.lit("Pow\":[").is_some() {
+            let base = self.expr()?;
+            self.lit(",")?;
+            let exp = self.rational_object()?;
+            self.lit("]")?;
+            Expr::Pow(Box::new(base), exp)
+        } else if self.lit("Add\":").is_some() {
+            Expr::Add(self.list(Self::expr)?)
+        } else if self.lit("Mul\":").is_some() {
+            Expr::Mul(self.list(Self::expr)?)
+        } else if self.lit("Max\":").is_some() {
+            Expr::Max(self.list(Self::expr)?)
+        } else if self.lit("Min\":").is_some() {
+            Expr::Min(self.list(Self::expr)?)
+        } else {
+            return None;
+        };
+        self.lit("}")?;
+        Some(e)
+    }
+
+    /// An exact-coefficient polynomial (see [`JsonOut::poly`]).
+    fn poly(&mut self) -> Option<Polynomial> {
+        let terms = self.list(|r| {
+            r.lit("[")?;
+            let vars = r.list(|r| r.pair(|r| u32::try_from(r.i128()?).ok()))?;
             let mut mono = Monomial::unit();
-            for pair in vars
-                .as_array()
-                .ok_or_else(|| DeError::msg("poly: vars not an array"))?
-            {
-                let [name, pow] = pair
-                    .as_array()
-                    .and_then(|a| <&[Value; 2]>::try_from(a).ok())
-                    .ok_or_else(|| DeError::msg("poly: var shape"))?;
-                let name = String::from_value(name)?;
-                let pow = pow
-                    .as_i128()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| DeError::msg("poly: bad exponent"))?;
+            for (name, pow) in vars {
                 // `x^0` is the constant 1, and a repeated variable multiplies
                 // out: the monomial `Polynomial::var(x).pow(e)` products give.
                 if pow > 0 {
                     *mono.0.entry(name).or_insert(0) += pow;
                 }
             }
-            Ok((mono, rational_from_value(coeff)?))
-        })
-        .collect::<Result<Vec<_>, DeError>>()?;
-    Ok(Polynomial::from_terms(terms))
-}
-
-fn intensity_to_value(r: &IntensityResult) -> Value {
-    Value::Object(vec![
-        ("name".to_string(), Value::Str(r.name.clone())),
-        ("sigma".to_string(), rational_to_value(r.sigma)),
-        ("chi".to_string(), f64_to_value(r.chi_coeff)),
-        ("rho".to_string(), r.rho.to_value()),
-        ("x0".to_string(), r.x0.to_value()),
-        (
-            "exps".to_string(),
-            Value::Array(
-                r.tile_exponents
-                    .iter()
-                    .map(|(v, e)| Value::Array(vec![Value::Str(v.clone()), rational_to_value(*e)]))
-                    .collect(),
-            ),
-        ),
-        (
-            "coeffs".to_string(),
-            Value::Array(
-                r.tile_coeffs
-                    .iter()
-                    .map(|(v, c)| Value::Array(vec![Value::Str(v.clone()), f64_to_value(*c)]))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn intensity_from_value(v: &Value) -> Result<IntensityResult, DeError> {
-    let field = |name: &str| {
-        v.get(name)
-            .ok_or_else(|| DeError::msg(format!("intensity: missing '{name}'")))
-    };
-    let tile_exponents = field("exps")?
-        .as_array()
-        .ok_or_else(|| DeError::msg("intensity: 'exps' not an array"))?
-        .iter()
-        .map(|pair| {
-            let [name, e] = pair
-                .as_array()
-                .and_then(|a| <&[Value; 2]>::try_from(a).ok())
-                .ok_or_else(|| DeError::msg("intensity: exps pair shape"))?;
-            Ok((String::from_value(name)?, rational_from_value(e)?))
-        })
-        .collect::<Result<Vec<_>, DeError>>()?;
-    let tile_coeffs = field("coeffs")?
-        .as_array()
-        .ok_or_else(|| DeError::msg("intensity: 'coeffs' not an array"))?
-        .iter()
-        .map(|pair| {
-            let [name, c] = pair
-                .as_array()
-                .and_then(|a| <&[Value; 2]>::try_from(a).ok())
-                .ok_or_else(|| DeError::msg("intensity: coeffs pair shape"))?;
-            Ok((String::from_value(name)?, f64_from_value(c)?))
-        })
-        .collect::<Result<Vec<_>, DeError>>()?;
-    Ok(IntensityResult {
-        name: String::from_value(field("name")?)?,
-        sigma: rational_from_value(field("sigma")?)?,
-        chi_coeff: f64_from_value(field("chi")?)?,
-        rho: Expr::from_value(field("rho")?)?,
-        x0: Option::<Expr>::from_value(field("x0")?)?,
-        tile_exponents,
-        tile_coeffs,
-    })
-}
-
-fn array_bound_to_value(b: &ArrayBound) -> Value {
-    Value::Object(vec![
-        ("array".to_string(), Value::Str(b.array.clone())),
-        ("vertices".to_string(), poly_to_value(&b.vertex_count)),
-        ("rho".to_string(), b.rho.to_value()),
-        ("sigma".to_string(), rational_to_value(b.sigma)),
-        ("best".to_string(), b.best_subgraph.to_value()),
-        ("bound".to_string(), b.bound.to_value()),
-    ])
-}
-
-fn array_bound_from_value(v: &Value) -> Result<ArrayBound, DeError> {
-    let field = |name: &str| {
-        v.get(name)
-            .ok_or_else(|| DeError::msg(format!("array bound: missing '{name}'")))
-    };
-    Ok(ArrayBound {
-        array: String::from_value(field("array")?)?,
-        vertex_count: poly_from_value(field("vertices")?)?,
-        rho: Expr::from_value(field("rho")?)?,
-        sigma: rational_from_value(field("sigma")?)?,
-        best_subgraph: Vec::<String>::from_value(field("best")?)?,
-        bound: Expr::from_value(field("bound")?)?,
-    })
-}
-
-fn subgraph_to_value(s: &SubgraphIntensity) -> Value {
-    Value::Object(vec![
-        ("arrays".to_string(), s.arrays.to_value()),
-        ("intensity".to_string(), intensity_to_value(&s.intensity)),
-        ("rho_ref".to_string(), f64_to_value(s.rho_ref)),
-    ])
-}
-
-fn subgraph_from_value(v: &Value) -> Result<SubgraphIntensity, DeError> {
-    let field = |name: &str| {
-        v.get(name)
-            .ok_or_else(|| DeError::msg(format!("subgraph: missing '{name}'")))
-    };
-    Ok(SubgraphIntensity {
-        arrays: Vec::<String>::from_value(field("arrays")?)?,
-        intensity: intensity_from_value(field("intensity")?)?,
-        rho_ref: f64_from_value(field("rho_ref")?)?,
-    })
-}
-
-fn report_to_value(r: &StoredReport) -> Value {
-    Value::Object(vec![
-        (
-            "per_array".to_string(),
-            Value::Array(r.per_array.iter().map(array_bound_to_value).collect()),
-        ),
-        (
-            "subgraphs".to_string(),
-            Value::Array(r.subgraphs.iter().map(subgraph_to_value).collect()),
-        ),
-        ("bound".to_string(), r.bound.to_value()),
-        ("notes".to_string(), r.notes.to_value()),
-    ])
-}
-
-fn report_from_value(v: &Value) -> Result<StoredReport, DeError> {
-    let field = |name: &str| {
-        v.get(name)
-            .ok_or_else(|| DeError::msg(format!("report: missing '{name}'")))
-    };
-    let per_array = field("per_array")?
-        .as_array()
-        .ok_or_else(|| DeError::msg("report: 'per_array' not an array"))?
-        .iter()
-        .map(array_bound_from_value)
-        .collect::<Result<Vec<_>, DeError>>()?;
-    let subgraphs = field("subgraphs")?
-        .as_array()
-        .ok_or_else(|| DeError::msg("report: 'subgraphs' not an array"))?
-        .iter()
-        .map(subgraph_from_value)
-        .collect::<Result<Vec<_>, DeError>>()?;
-    Ok(StoredReport {
-        per_array,
-        subgraphs,
-        bound: Expr::from_value(field("bound")?)?,
-        notes: Vec::<String>::from_value(field("notes")?)?,
-    })
+            r.lit(",")?;
+            let coeff = r.rational_pair()?;
+            r.lit("]")?;
+            Some((mono, coeff))
+        })?;
+        Some(Polynomial::from_terms(terms))
+    }
 }
 
 #[cfg(test)]
+#[path = "../tests/common/report_oracle.rs"]
+mod report_oracle;
+
+#[cfg(test)]
 mod tests {
+    use super::report_oracle::oracle_report_line;
     use super::*;
     use crate::cache::canonicalize;
     use soap_core::AccessModel;
 
-    fn decode_record(line: &str) -> Option<StoreEntry> {
-        solve_record_from_payload(&checked_payload(line)?)
+    fn parts(report: &StoredReport) -> ReportParts<'_> {
+        ReportParts {
+            per_array: &report.per_array,
+            subgraphs: &report.subgraphs,
+            bound: &report.bound,
+            notes: &report.notes,
+        }
     }
 
-    fn decode_report_record(line: &str) -> Option<ReportEntry> {
-        report_record_from_payload(&checked_payload(line)?)
+    fn oracle_line(key: u64, report: &StoredReport) -> String {
+        oracle_report_line(
+            key,
+            &report.per_array,
+            &report.subgraphs,
+            &report.bound,
+            &report.notes,
+        )
     }
 
     fn sample_key(max_form: bool) -> CanonicalKey {
@@ -1262,6 +1687,8 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+        // The test support's oracle digests lines the same way.
+        assert_eq!(super::report_oracle::fnv1a64(b"foobar"), fnv1a64(b"foobar"));
     }
 
     #[test]
@@ -1356,8 +1783,10 @@ mod tests {
     #[test]
     fn report_records_round_trip_bit_exactly() {
         let report = sample_report();
-        let line = encode_report_record(0xdead_beef_cafe_f00d, &report);
-        let (key, back) = decode_report_record(&line).expect("decodes");
+        let payload = encode_report_payload(0xdead_beef_cafe_f00d, parts(&report));
+        let line = record_line(&payload);
+        assert_eq!(line, oracle_line(0xdead_beef_cafe_f00d, &report));
+        let (key, back) = decode_report_payload(&payload).expect("decodes");
         assert_eq!(key, 0xdead_beef_cafe_f00d);
         assert_eq!(back.per_array.len(), 1);
         let (a, b) = (&back.per_array[0], &report.per_array[0]);
@@ -1389,7 +1818,13 @@ mod tests {
         assert_eq!(back.notes, report.notes);
         // Corruption is rejected, never panicked.
         for cut in [1, 17, line.len() / 2, line.len() - 1] {
-            assert!(decode_report_record(&line[..cut]).is_none(), "cut at {cut}");
+            assert!(report_line_key(&line[..cut]).is_none(), "cut at {cut}");
+        }
+        for cut in [1, 8, payload.len() / 2, payload.len() - 1] {
+            assert!(
+                decode_report_payload(&payload[..cut]).is_none(),
+                "cut at {cut}"
+            );
         }
     }
 
@@ -1402,7 +1837,8 @@ mod tests {
         let sol = Ok(sample_solution());
         store.append(&[(&key, &sol)]).unwrap();
         let report = sample_report();
-        store.append_reports(&[(7, &report)]).unwrap();
+        let payload = encode_report_payload(7, parts(&report));
+        store.append_reports(&[&payload]).unwrap();
         // Family listings never bleed into each other.
         assert_eq!(store.segment_files().unwrap().len(), 1);
         assert_eq!(store.report_files().unwrap().len(), 1);
@@ -1412,11 +1848,188 @@ mod tests {
         assert_eq!((report_stats.segments, report_stats.entries), (1, 1));
         let (entries, _) = store.load_reports().unwrap();
         assert_eq!(entries.len(), 1);
-        assert!(entries.contains_key(&7));
+        // Hydration keeps the payload byte for byte, marked as on disk.
+        assert_eq!(&*entries[&7].payload, payload);
+        assert!(entries[&7].on_disk);
         // clear() removes both families.
         assert_eq!(store.clear().unwrap(), 2);
         assert!(store.report_files().unwrap().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A report exercising the writer's escaping and float paths: names and
+    /// notes with quotes, backslashes, every control character and
+    /// non-ASCII text; NaN, -0.0, subnormal and infinite floats; an absent
+    /// and a present `x0`; every `Expr` variant; rationals beyond `i64`.
+    fn adversarial_report() -> StoredReport {
+        let mut report = sample_report();
+        let controls: String = (0u8..0x20).map(char::from).chain(['\u{7f}']).collect();
+        let nasty = format!("q\"uote\\back/slash {controls} ünï 日本 🦀 \u{2028}");
+        let big = Rational::new(i128::MAX, 3);
+        let huge = Rational::new(i128::MIN + 1, i128::MAX);
+        let nasty_sym = Expr::sym(&nasty);
+        let every_variant = Expr::Add(vec![
+            Expr::Num(big),
+            Expr::Mul(vec![Expr::Num(huge), nasty_sym.clone()]),
+            Expr::Pow(Box::new(Expr::sym("S")), Rational::new(-7, 9)),
+            Expr::Max(vec![
+                Expr::sym("a"),
+                Expr::Min(vec![Expr::sym("b"), Expr::int(-3)]),
+            ]),
+        ]);
+        report.per_array[0].array = nasty.clone();
+        report.per_array[0].rho = every_variant.clone();
+        report.per_array[0].best_subgraph = vec![nasty.clone(), String::new()];
+        report.per_array[0].vertex_count = Polynomial::var(&nasty)
+            .mul(&Polynomial::constant(big))
+            .add(&Polynomial::constant(huge));
+        let floats = [
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff8_0000_dead_beef),
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(1),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+        ];
+        let mut subgraphs = Vec::new();
+        for (i, &x) in floats.iter().enumerate() {
+            let mut s = report.subgraphs[0].clone();
+            s.rho_ref = x;
+            s.arrays = vec![nasty.clone(), format!("A{i}")];
+            s.intensity.name = format!("{nasty}#{i}");
+            s.intensity.chi_coeff = x;
+            s.intensity.tile_coeffs = vec![(nasty.clone(), x), ("j".into(), -x)];
+            s.intensity.tile_exponents = vec![(nasty.clone(), huge)];
+            s.intensity.x0 = (i % 2 == 0).then(|| every_variant.clone());
+            subgraphs.push(s);
+        }
+        report.subgraphs = subgraphs;
+        report.bound = every_variant;
+        report.notes = vec![nasty, String::new(), controls];
+        report
+    }
+
+    #[test]
+    fn direct_writer_matches_the_value_tree_encoder_byte_for_byte() {
+        for (key, report) in [
+            (0, sample_report()),
+            (u64::MAX, sample_report()),
+            (1, adversarial_report()),
+            (
+                42,
+                StoredReport {
+                    per_array: vec![],
+                    subgraphs: vec![],
+                    bound: Expr::zero(),
+                    notes: vec![],
+                },
+            ),
+        ] {
+            let payload = encode_report_payload(key, parts(&report));
+            let line = record_line(&payload);
+            assert_eq!(line, oracle_line(key, &report));
+            assert_eq!(report_line_key(&line), Some(key));
+            // The payload decodes back to a report that re-encodes
+            // identically.
+            let (back_key, back) = decode_report_payload(&payload).expect("decodes");
+            assert_eq!(back_key, key);
+            assert_eq!(encode_report_payload(key, parts(&back)), payload);
+        }
+    }
+
+    #[test]
+    fn decoder_reads_strings_as_the_json_parser_does() {
+        for literal in [
+            r#""plain""#,
+            r#""q\"b\\s\/ \b\f\n\r\t""#,
+            r#""\u0000\u001f\u00e9\u2028\uFFFF \ud800""#,
+            "\"ünï 日本 🦀\"",
+            r#""""#,
+        ] {
+            let expected: String = serde_json::from_str(literal).expect("valid JSON string");
+            let mut r = JsonIn {
+                text: literal,
+                pos: 0,
+            };
+            assert_eq!(r.string(), Some(expected), "{literal}");
+            assert_eq!(r.pos, literal.len());
+        }
+        for bad in [r#""open"#, r#""\x""#, r#""\u12""#, "plain"] {
+            let mut r = JsonIn { text: bad, pos: 0 };
+            assert_eq!(r.string(), None, "{bad}");
+        }
+    }
+
+    #[test]
+    fn every_truncated_payload_is_rejected() {
+        let payload = encode_report_payload(9, parts(&adversarial_report()));
+        for cut in (0..payload.len()).filter(|&c| payload.is_char_boundary(c)) {
+            assert!(
+                decode_report_payload(&payload[..cut]).is_none(),
+                "cut at {cut}"
+            );
+        }
+        assert!(decode_report_payload(&format!("{payload} ")).is_none());
+    }
+
+    #[test]
+    fn integers_print_as_display_does() {
+        let mut cases: Vec<i128> = vec![
+            0,
+            1,
+            -1,
+            9,
+            10,
+            99,
+            100,
+            i128::MAX,
+            i128::MIN,
+            i128::MIN + 1,
+        ];
+        for p in 0..39 {
+            let t = 10i128.pow(p);
+            cases.extend([t - 1, t, t + 1, -t, -(t - 1)]);
+        }
+        cases.extend([
+            i128::from(u64::MAX),
+            i128::from(u64::MAX) + 1,
+            -i128::from(u64::MAX),
+        ]);
+        for n in cases {
+            let mut w = JsonOut(Vec::new());
+            w.i128(n);
+            assert_eq!(w.0, n.to_string().into_bytes());
+        }
+    }
+
+    #[test]
+    fn report_keys_come_from_the_checked_prefix_only() {
+        let payload = "{\"key\":12,\"report\":garbage";
+        let line = format!("{:016x} {payload}", fnv1a64(payload.as_bytes()));
+        // The key is read without parsing the rest; the replay decode is
+        // what rejects the shape.
+        assert_eq!(report_line_key(&line), Some(12));
+        assert!(decode_report_payload(payload).is_none());
+        for bad in [
+            "{\"key\":,\"report\":{}}",
+            "{\"key\":-1,\"report\":{}}",
+            "{\"key\":18446744073709551616,\"report\":{}}",
+            "{\"key\":1}",
+            "{\"kee\":1,\"report\":{}}",
+        ] {
+            let line = format!("{:016x} {bad}", fnv1a64(bad.as_bytes()));
+            assert_eq!(report_line_key(&line), None, "{bad}");
+        }
+        let mut flipped = line.into_bytes();
+        flipped[20] ^= 1;
+        assert_eq!(
+            report_line_key(std::str::from_utf8(&flipped).unwrap()),
+            None
+        );
     }
 
     #[test]

@@ -761,7 +761,13 @@ impl fmt::Display for Expr {
                 }
             }
             Expr::Pow(base, e) => {
-                let b = if matches!(**base, Expr::Add(_) | Expr::Mul(_) | Expr::Pow(_, _)) {
+                // `^` binds tighter than the `/` of a fraction and the `-` of
+                // a negative number, so such a base is parenthesized too:
+                // `(1907/8)^(1/4)`, not `1907/8^(1/4)`.
+                let compound = matches!(**base, Expr::Add(_) | Expr::Mul(_) | Expr::Pow(_, _));
+                let signed_or_fraction =
+                    matches!(**base, Expr::Num(r) if !r.is_integer() || r.is_negative());
+                let b = if compound || signed_or_fraction {
                     format!("({})", base)
                 } else {
                     format!("{}", base)
