@@ -1,9 +1,9 @@
 //! The C-like dialect: brace-scoped `for (i = lo; i < hi; i++) { ... }`.
 
-use crate::rhs::{group_reads, parse_assignment};
-use crate::{FrontendError, MAX_LOOP_DEPTH, MAX_SOURCE_BYTES};
+use crate::rhs::Lowering;
+use crate::{split_once_short, FrontendError, MAX_SOURCE_BYTES};
 use soap_ir::parse::parse_affine;
-use soap_ir::{ArrayAccess, IterationDomain, LoopVar, Program, Statement};
+use soap_ir::Program;
 
 /// Parse a C-like program into SOAP IR.
 ///
@@ -18,32 +18,32 @@ pub fn parse_c(name: &str, source: &str) -> Result<Program, FrontendError> {
             bytes: source.len(),
         });
     }
-    let mut stack: Vec<LoopVar> = Vec::new();
-    // Number of loops opened at each brace depth, so `}` pops correctly.
+    let mut lowering = Lowering::default();
+    // Whether each open brace opened a loop, so `}` pops correctly.
     let mut brace_is_loop: Vec<bool> = Vec::new();
-    let mut statements = Vec::new();
 
     for (idx, raw) in source.lines().enumerate() {
         let line_no = idx + 1;
-        let without_comment = raw.split("//").next().unwrap_or("");
+        let without_comment = split_once_short(raw, "//").map_or(raw, |(code, _)| code);
         let mut rest = without_comment.trim();
         let col = |s: &str| crate::column_of(raw, s);
+        let syntax = |part: &str, message: &str| FrontendError::Syntax {
+            line: line_no,
+            column: col(part),
+            message: message.to_string(),
+        };
         while !rest.is_empty() {
             if let Some(r) = rest.strip_prefix('}') {
-                if let Some(was_loop) = brace_is_loop.pop() {
-                    if was_loop {
-                        stack.pop();
-                    }
+                if brace_is_loop.pop() == Some(true) {
+                    lowering.close_loop();
                 }
                 rest = r.trim_start();
                 continue;
             }
             if rest.starts_with("for") {
-                let open = rest.find('(').ok_or(FrontendError::Syntax {
-                    line: line_no,
-                    column: col(rest),
-                    message: "malformed for loop".into(),
-                })?;
+                let open = rest
+                    .find('(')
+                    .ok_or_else(|| syntax(rest, "malformed for loop"))?;
                 // Find the close paren *matching* the open by scanning
                 // forward.  `rfind(')')` would pair with a stray ')' before
                 // the '(' (an inverted, panicking slice) or with a ')' in
@@ -63,56 +63,46 @@ pub fn parse_c(name: &str, source: &str) -> Result<Program, FrontendError> {
                         _ => {}
                     }
                 }
-                let close = close.ok_or(FrontendError::Syntax {
-                    line: line_no,
-                    column: col(rest),
-                    message: "malformed for loop".into(),
-                })?;
+                let close = close.ok_or_else(|| syntax(rest, "malformed for loop"))?;
                 let header = &rest[open + 1..close];
-                let parts: Vec<&str> = header.split(';').collect();
-                if parts.len() != 3 {
-                    return Err(FrontendError::Syntax {
-                        line: line_no,
-                        column: col(header),
-                        message: "for loop header must have three clauses".into(),
-                    });
-                }
-                let init = parts[0];
-                let cond = parts[1];
-                let (var, lo) = init.split_once('=').ok_or(FrontendError::Syntax {
-                    line: line_no,
-                    column: col(init),
-                    message: "for loop initialization must be 'var = expr'".into(),
-                })?;
-                let var = var.trim().trim_start_matches("int").trim();
-                let lower = parse_affine(lo.trim())?;
-                let (upper, inclusive) = if let Some((_, ub)) = cond.split_once("<=") {
-                    (parse_affine(ub.trim())?, true)
-                } else if let Some((_, ub)) = cond.split_once('<') {
-                    (parse_affine(ub.trim())?, false)
-                } else {
-                    return Err(FrontendError::Syntax {
-                        line: line_no,
-                        column: col(cond),
-                        message: "for loop condition must be 'var < bound' or 'var <= bound'"
-                            .into(),
-                    });
+                let mut clauses = header.split(';');
+                let (Some(init), Some(cond), Some(_), None) = (
+                    clauses.next(),
+                    clauses.next(),
+                    clauses.next(),
+                    clauses.next(),
+                ) else {
+                    return Err(syntax(header, "for loop header must have three clauses"));
                 };
-                let upper = if inclusive { upper.offset(1) } else { upper };
-                if stack.len() >= MAX_LOOP_DEPTH {
-                    return Err(FrontendError::NestingTooDeep { line: line_no });
+                let (var, lo) = init
+                    .split_once('=')
+                    .ok_or_else(|| syntax(init, "for loop initialization must be 'var = expr'"))?;
+                // `trim_start_matches("int")`, without its substring searcher.
+                let mut var = var.trim();
+                while let Some(rest) = var.strip_prefix("int") {
+                    var = rest;
                 }
-                stack.push(LoopVar::new(var, lower, upper));
-                // Whatever follows the loop header on this line.
-                rest = rest[close + 1..].trim_start();
-                if let Some(r) = rest.strip_prefix('{') {
-                    brace_is_loop.push(true);
-                    rest = r.trim_start();
+                let var = var.trim();
+                let lower = parse_affine(lo.trim())?;
+                let upper = if let Some((_, ub)) = split_once_short(cond, "<=") {
+                    let mut ub = parse_affine(ub.trim())?;
+                    ub.constant += 1;
+                    ub
+                } else if let Some((_, ub)) = cond.split_once('<') {
+                    parse_affine(ub.trim())?
                 } else {
-                    // Single-statement loop bodies without braces are treated
-                    // as braced: the next `;`-terminated statement closes it.
-                    brace_is_loop.push(true);
-                }
+                    return Err(syntax(
+                        cond,
+                        "for loop condition must be 'var < bound' or 'var <= bound'",
+                    ));
+                };
+                lowering.open_loop(line_no, var, lower, upper)?;
+                // Whatever follows the loop header on this line.  A body
+                // without braces is treated as braced: the next
+                // `;`-terminated statement closes it.
+                rest = rest[close + 1..].trim_start();
+                rest = rest.strip_prefix('{').map_or(rest, str::trim_start);
+                brace_is_loop.push(true);
                 continue;
             }
             if let Some(r) = rest.strip_prefix('{') {
@@ -129,32 +119,16 @@ pub fn parse_c(name: &str, source: &str) -> Result<Program, FrontendError> {
             if stmt_text.is_empty() || !stmt_text.contains('=') || !stmt_text.contains('[') {
                 continue;
             }
-            if stack.is_empty() {
-                return Err(FrontendError::StatementOutsideLoop { line: line_no });
-            }
-            let assignment = parse_assignment(stmt_text, line_no, col(stmt_text))?;
-            let st = Statement {
-                name: format!("St{}", statements.len() + 1),
-                domain: IterationDomain::new(stack.clone()),
-                output: ArrayAccess::single(
-                    assignment.output.0.clone(),
-                    assignment.output.1.clone(),
-                ),
-                inputs: group_reads(assignment.reads),
-                is_update: assignment.is_update,
-            };
-            st.validate()?;
-            statements.push(st);
+            lowering.statement(stmt_text, line_no, col(stmt_text))?;
         }
     }
-    let program = Program::new(name, statements);
-    program.validate()?;
-    Ok(program)
+    Ok(lowering.finish(name))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MAX_LOOP_DEPTH;
 
     #[test]
     fn parses_c_style_gemm() {

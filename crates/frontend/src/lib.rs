@@ -108,6 +108,23 @@ pub(crate) fn column_of(whole: &str, part: &str) -> usize {
     }
 }
 
+/// `text.split_once(pat)` for a non-empty ASCII `pat`: candidates are found
+/// by `memchr` on the first byte and checked in place.  On the short lines
+/// parsed here, the setup of the general substring search costs more than
+/// the search.
+pub(crate) fn split_once_short<'a>(text: &'a str, pat: &str) -> Option<(&'a str, &'a str)> {
+    let first = char::from(pat.as_bytes()[0]);
+    let mut from = 0;
+    while let Some(k) = text[from..].find(first) {
+        let at = from + k;
+        if text.as_bytes()[at..].starts_with(pat.as_bytes()) {
+            return Some((&text[..at], &text[at + pat.len()..]));
+        }
+        from = at + 1;
+    }
+    None
+}
+
 impl std::error::Error for FrontendError {}
 
 impl From<IrError> for FrontendError {

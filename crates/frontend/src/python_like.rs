@@ -1,9 +1,9 @@
 //! The Python-like dialect: indentation-scoped `for x in range(lo, hi):`.
 
-use crate::rhs::{group_reads, parse_assignment};
-use crate::{FrontendError, MAX_LOOP_DEPTH, MAX_SOURCE_BYTES};
+use crate::rhs::Lowering;
+use crate::{split_once_short, FrontendError, MAX_SOURCE_BYTES};
 use soap_ir::parse::parse_affine;
-use soap_ir::{ArrayAccess, IterationDomain, LoopVar, Program, Statement};
+use soap_ir::Program;
 
 /// Parse a Python-like program into SOAP IR.
 ///
@@ -16,79 +16,58 @@ pub fn parse_python(name: &str, source: &str) -> Result<Program, FrontendError> 
             bytes: source.len(),
         });
     }
-    // Stack of (indentation, loop).
-    let mut stack: Vec<(usize, LoopVar)> = Vec::new();
-    let mut statements = Vec::new();
+    let mut lowering = Lowering::default();
+    // Indentation of each open loop, innermost last.
+    let mut indents: Vec<usize> = Vec::new();
     for (idx, raw) in source.lines().enumerate() {
         let line_no = idx + 1;
         let without_comment = raw.split('#').next().unwrap_or("");
-        if without_comment.trim().is_empty() {
+        let line = without_comment.trim();
+        if line.is_empty() {
             continue;
         }
         let indent = without_comment.len() - without_comment.trim_start().len();
-        let line = without_comment.trim();
         let col = |s: &str| crate::column_of(raw, s);
         // Pop loops that ended (dedent).
-        while let Some((level, _)) = stack.last() {
-            if indent <= *level {
-                stack.pop();
-            } else {
-                break;
-            }
+        while indents.last().is_some_and(|&level| indent <= level) {
+            indents.pop();
+            lowering.close_loop();
         }
         if let Some(rest) = line.strip_prefix("for ") {
-            let (var, range) = rest.split_once(" in ").ok_or(FrontendError::Syntax {
-                line: line_no,
-                column: col(rest),
-                message: "expected 'for <var> in range(...):'".to_string(),
-            })?;
+            let (var, range) =
+                split_once_short(rest, " in ").ok_or_else(|| FrontendError::Syntax {
+                    line: line_no,
+                    column: col(rest),
+                    message: "expected 'for <var> in range(...):'".to_string(),
+                })?;
             let range = range.trim().trim_end_matches(':').trim();
             let inner = range
                 .strip_prefix("range(")
                 .and_then(|r| r.strip_suffix(')'))
-                .ok_or(FrontendError::Syntax {
+                .ok_or_else(|| FrontendError::Syntax {
                     line: line_no,
                     column: col(range),
                     message: format!("expected range(...), found '{range}'"),
                 })?;
             let (lo, hi) = match inner.split_once(',') {
-                Some((a, b)) => (a.trim().to_string(), b.trim().to_string()),
-                None => ("0".to_string(), inner.trim().to_string()),
+                Some((a, b)) => (a.trim(), b.trim()),
+                None => ("0", inner.trim()),
             };
-            let lower = parse_affine(&lo)?;
-            let upper = parse_affine(&hi)?;
-            if stack.len() >= MAX_LOOP_DEPTH {
-                return Err(FrontendError::NestingTooDeep { line: line_no });
-            }
-            stack.push((indent, LoopVar::new(var.trim(), lower, upper)));
+            let lower = parse_affine(lo)?;
+            let upper = parse_affine(hi)?;
+            lowering.open_loop(line_no, var.trim(), lower, upper)?;
+            indents.push(indent);
         } else {
-            if stack.is_empty() {
-                return Err(FrontendError::StatementOutsideLoop { line: line_no });
-            }
-            let assignment = parse_assignment(line, line_no, col(line))?;
-            let loops: Vec<LoopVar> = stack.iter().map(|(_, l)| l.clone()).collect();
-            let st = Statement {
-                name: format!("St{}", statements.len() + 1),
-                domain: IterationDomain::new(loops),
-                output: ArrayAccess::single(
-                    assignment.output.0.clone(),
-                    assignment.output.1.clone(),
-                ),
-                inputs: group_reads(assignment.reads),
-                is_update: assignment.is_update,
-            };
-            st.validate()?;
-            statements.push(st);
+            lowering.statement(line, line_no, col(line))?;
         }
     }
-    let program = Program::new(name, statements);
-    program.validate()?;
-    Ok(program)
+    Ok(lowering.finish(name))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MAX_LOOP_DEPTH;
 
     #[test]
     fn parses_example_1_stencil() {

@@ -7,156 +7,9 @@
 use soap_frontend::{parse_c, parse_python};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Deterministic xorshift64* generator — same engine as
-/// `roundtrip_property.rs`; no external crates in this workspace.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    fn chance(&mut self, percent: u64) -> bool {
-        self.next() % 100 < percent
-    }
-}
-
-const LOOP_VARS: [&str; 4] = ["i", "j", "k", "t"];
-const PARAMS: [&str; 3] = ["N", "M", "P"];
-
-/// A valid-ish program in both dialects: a small random loop nest around a
-/// random assignment.  This is deliberately simpler than the round-trip
-/// generator — the mutations below do the damage; the template only needs to
-/// land the mutated input *near* the grammar so it reaches deep parser paths.
-fn gen_template(rng: &mut Rng, c_style: bool) -> String {
-    let depth = 1 + rng.below(3);
-    let vars: Vec<&str> = LOOP_VARS[..depth].to_vec();
-    let mut out = String::new();
-    for (level, v) in vars.iter().enumerate() {
-        let lo = rng.below(2);
-        let hi = PARAMS[rng.below(PARAMS.len())];
-        if c_style {
-            out.push_str(&"  ".repeat(level));
-            out.push_str(&format!("for ({v} = {lo}; {v} < {hi}; {v}++) {{\n"));
-        } else {
-            out.push_str(&"    ".repeat(level));
-            out.push_str(&format!("for {v} in range({lo}, {hi}):\n"));
-        }
-    }
-    let indent = if c_style {
-        "  ".repeat(depth)
-    } else {
-        "    ".repeat(depth)
-    };
-    let sub = |rng: &mut Rng, vars: &[&str]| -> String {
-        let v = vars[rng.below(vars.len())];
-        match rng.below(4) {
-            0 => format!("{v} + 1"),
-            1 => format!("{v} - 1"),
-            _ => v.to_string(),
-        }
-    };
-    let lhs_ix = sub(rng, &vars);
-    let rhs_ix = sub(rng, &vars);
-    let op = if rng.chance(50) { "+=" } else { "=" };
-    if c_style {
-        out.push_str(&format!(
-            "{indent}Out[{lhs_ix}] {op} In[{rhs_ix}] * W[{rhs_ix}];\n"
-        ));
-        for level in (0..depth).rev() {
-            out.push_str(&"  ".repeat(level));
-            out.push_str("}\n");
-        }
-    } else {
-        out.push_str(&format!(
-            "{indent}Out[{lhs_ix}] {op} In[{rhs_ix}] * W[{rhs_ix}]\n"
-        ));
-    }
-    out
-}
-
-/// Characters the mutators splice in: grammar-significant punctuation plus a
-/// couple of multi-byte UTF-8 sequences (they used to panic byte-indexed
-/// scans).
-const SPLICE: [&str; 14] = [
-    "[", "]", "(", ")", "{", "}", ";", ":", "=", ",", "<", "*", "β", "∑",
-];
-
-/// Apply one random mutation to the source.
-fn mutate(rng: &mut Rng, src: &mut String) {
-    if src.is_empty() {
-        src.push_str(SPLICE[rng.below(SPLICE.len())]);
-        return;
-    }
-    match rng.below(5) {
-        // Truncate at a random (char-boundary) position.
-        0 => {
-            let mut cut = rng.below(src.len() + 1);
-            while !src.is_char_boundary(cut) {
-                cut -= 1;
-            }
-            src.truncate(cut);
-        }
-        // Insert a grammar character at a random boundary.
-        1 => {
-            let mut at = rng.below(src.len() + 1);
-            while !src.is_char_boundary(at) {
-                at -= 1;
-            }
-            src.insert_str(at, SPLICE[rng.below(SPLICE.len())]);
-        }
-        // Delete one random character.
-        2 => {
-            let mut at = rng.below(src.len());
-            while !src.is_char_boundary(at) {
-                at -= 1;
-            }
-            src.remove(at);
-        }
-        // Swap two bracket-ish characters (turns `A[i]` into `A]i[` etc.).
-        3 => {
-            let swapped: String = src
-                .chars()
-                .map(|c| match c {
-                    '[' => ']',
-                    ']' => '[',
-                    '(' => ')',
-                    ')' => '(',
-                    '{' => '}',
-                    '}' => '{',
-                    other => other,
-                })
-                .collect();
-            *src = swapped;
-        }
-        // Duplicate a random line (stresses the dedent/brace stacks).
-        _ => {
-            let lines: Vec<&str> = src.lines().collect();
-            if !lines.is_empty() {
-                let line = lines[rng.below(lines.len())].to_string();
-                src.push_str(&line);
-                src.push('\n');
-            }
-        }
-    }
-}
-
-/// Raw garbage: random bytes forced into UTF-8 (lossy), so the parsers see
-/// arbitrary character soup rather than anything grammar-shaped.
-fn gen_garbage(rng: &mut Rng) -> String {
-    let len = rng.below(200);
-    let bytes: Vec<u8> = (0..len).map(|_| (rng.next() & 0xFF) as u8).collect();
-    String::from_utf8_lossy(&bytes).into_owned()
-}
+#[path = "support/programs.rs"]
+mod programs;
+use programs::{garbage_sources, mutated_sources, HISTORICAL_PANICS};
 
 /// Both parsers must return `Ok` or `Err` — never panic — on `src`.
 fn assert_no_panic(case: usize, kind: &str, src: &str) {
@@ -178,39 +31,21 @@ fn assert_no_panic(case: usize, kind: &str, src: &str) {
 
 #[test]
 fn mutated_programs_never_panic_the_parsers() {
-    let mut rng = Rng(0x5eed_5afe_2026_0808);
-    for case in 0..600 {
-        let c_style = case % 2 == 0;
-        let mut src = gen_template(&mut rng, c_style);
-        let n_mutations = 1 + rng.below(4);
-        for _ in 0..n_mutations {
-            mutate(&mut rng, &mut src);
-        }
-        assert_no_panic(case, "mutated", &src);
+    for (case, src) in mutated_sources().iter().enumerate() {
+        assert_no_panic(case, "mutated", src);
     }
 }
 
 #[test]
 fn raw_garbage_never_panics_the_parsers() {
-    let mut rng = Rng(0x6a55_ba6e_2026_0808);
-    for case in 0..400 {
-        let src = gen_garbage(&mut rng);
-        assert_no_panic(case, "garbage", &src);
+    for (case, src) in garbage_sources().iter().enumerate() {
+        assert_no_panic(case, "garbage", src);
     }
 }
 
 #[test]
 fn known_historical_panics_stay_fixed() {
-    // Regression corpus: each of these used to panic a parser before the
-    // hardening pass (inverted slices, mid-character str indexing).
-    let corpus = [
-        "for ) ( { A[i] = B[i]; }",
-        "for (i = 0; i < N; i++) { A[i]]x[ = B[i]; }",
-        "for (i = 0; i < N; i++) { βA[i] = B[i]; }",
-        "for i in range(N):\n    A[i]]x[ = B[i]\n",
-        "for i in range(N):\n    ∑[i] = B[i]\n",
-    ];
-    for (case, src) in corpus.iter().enumerate() {
+    for (case, src) in HISTORICAL_PANICS.iter().enumerate() {
         assert_no_panic(case, "regression", src);
     }
 }

@@ -7,235 +7,14 @@
 //! handful of shapes; this sweeps a few hundred.
 
 use soap_frontend::{parse_c, parse_python};
-use soap_ir::{Program, ProgramBuilder, Statement};
 
-/// Deterministic xorshift64* generator — no external crates in this
-/// workspace, and reproducible failures beat exotic randomness here.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    /// True with probability `percent`/100.
-    fn chance(&mut self, percent: u64) -> bool {
-        self.next() % 100 < percent
-    }
-}
-
-const LOOP_VARS: [&str; 4] = ["i", "j", "k", "t"];
-const PARAMS: [&str; 3] = ["N", "M", "P"];
-
-/// One random affine subscript over the visible loop variables, rendered as
-/// builder/parser syntax (`i`, `2*j`, `k + 1`, `t - 2`, `3`).
-fn gen_subscript(rng: &mut Rng, vars: &[&str]) -> String {
-    if rng.chance(8) {
-        // Constant subscript.
-        return format!("{}", rng.below(3));
-    }
-    let v = vars[rng.below(vars.len())];
-    let coeff = if rng.chance(20) { 2 } else { 1 };
-    let base = if coeff == 1 {
-        v.to_string()
-    } else {
-        format!("{coeff}*{v}")
-    };
-    match rng.below(5) {
-        0 => format!("{base} + {}", 1 + rng.below(2)),
-        1 => format!("{base} - {}", 1 + rng.below(2)),
-        _ => base,
-    }
-}
-
-/// A comma-joined subscript tuple of the given arity.
-fn gen_indices(rng: &mut Rng, vars: &[&str], arity: usize) -> String {
-    (0..arity)
-        .map(|_| gen_subscript(rng, vars))
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-/// Generate a random small program through the builder.
-fn gen_program(rng: &mut Rng, case: usize) -> Program {
-    let n_statements = 1 + rng.below(3);
-    let mut b = ProgramBuilder::new(format!("prop{case}"));
-    for s in 0..n_statements {
-        let depth = 1 + rng.below(3);
-        let vars: Vec<&str> = LOOP_VARS[..depth].to_vec();
-        // Loop specs: occasionally a dependent lower bound on an inner loop.
-        let loops: Vec<(String, String, String)> = vars
-            .iter()
-            .enumerate()
-            .map(|(level, v)| {
-                let lower = if level > 0 && rng.chance(25) {
-                    format!("{} + 1", vars[level - 1])
-                } else {
-                    format!("{}", rng.below(2))
-                };
-                let param = PARAMS[rng.below(PARAMS.len())];
-                let upper = if rng.chance(25) {
-                    format!("{param} - 1")
-                } else {
-                    param.to_string()
-                };
-                (v.to_string(), lower, upper)
-            })
-            .collect();
-        // Output: a unique array, subscripted by a non-empty prefix of the
-        // loop variables (so update statements get reduction dimensions).
-        let out_arity = 1 + rng.below(depth);
-        let out_ix = vars[..out_arity].join(",");
-        let is_update = rng.chance(50);
-        // Reads: 1–3 unique arrays; one may get extra stencil-style
-        // components (same linear part, shifted offsets).
-        let n_reads = 1 + rng.below(3);
-        let reads: Vec<(String, Vec<String>)> = (0..n_reads)
-            .map(|r| {
-                let arity = 1 + rng.below(2);
-                let mut comps = vec![gen_indices(rng, &vars, arity)];
-                if r == 0 && rng.chance(30) {
-                    // Offset copies of a plain subscript tuple (the Example-1
-                    // stencil shape); keep them distinct.
-                    let base: Vec<&str> = vars[..arity.min(vars.len())].to_vec();
-                    comps = vec![
-                        base.join(","),
-                        base.iter()
-                            .map(|v| format!("{v} + 1"))
-                            .collect::<Vec<_>>()
-                            .join(","),
-                    ];
-                    if rng.chance(50) {
-                        comps.push(
-                            base.iter()
-                                .map(|v| format!("{v} - 1"))
-                                .collect::<Vec<_>>()
-                                .join(","),
-                        );
-                    }
-                }
-                (format!("In{s}_{r}"), comps)
-            })
-            .collect();
-        b = b.statement(move |mut st| {
-            let specs: Vec<(&str, &str, &str)> = loops
-                .iter()
-                .map(|(v, lo, hi)| (v.as_str(), lo.as_str(), hi.as_str()))
-                .collect();
-            st = st.loops(&specs);
-            st = if is_update {
-                st.update(&format!("Out{s}"), &out_ix)
-            } else {
-                st.write(&format!("Out{s}"), &out_ix)
-            };
-            for (array, comps) in &reads {
-                st = if comps.len() == 1 {
-                    st.read(array, &comps[0])
-                } else {
-                    let refs: Vec<&str> = comps.iter().map(String::as_str).collect();
-                    st.read_multi(array, &refs)
-                };
-            }
-            st
-        });
-    }
-    b.build().expect("generated program builds")
-}
-
-/// Render one statement's assignment line: every component of every input
-/// access becomes a separate array reference (the parsers re-group them).
-fn assignment_line(st: &Statement, c_style: bool) -> String {
-    let subscript = |indices: &[soap_ir::LinIndex]| -> String {
-        if c_style {
-            indices
-                .iter()
-                .map(|ix| format!("[{ix}]"))
-                .collect::<String>()
-        } else {
-            format!(
-                "[{}]",
-                indices
-                    .iter()
-                    .map(|ix| format!("{ix}"))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )
-        }
-    };
-    let lhs = format!(
-        "{}{}",
-        st.output.array,
-        subscript(&st.output.components[0].indices)
-    );
-    let op = if st.is_update { "+=" } else { "=" };
-    let rhs: Vec<String> = st
-        .inputs
-        .iter()
-        .flat_map(|acc| {
-            acc.components
-                .iter()
-                .map(move |c| format!("{}{}", acc.array, subscript(&c.indices)))
-        })
-        .collect();
-    format!("{lhs} {op} {}", rhs.join(" + "))
-}
-
-/// Pretty-print to the Python-like dialect.
-fn to_python(p: &Program) -> String {
-    let mut out = String::new();
-    for st in &p.statements {
-        for (level, lv) in st.domain.loops.iter().enumerate() {
-            out.push_str(&"    ".repeat(level));
-            out.push_str(&format!(
-                "for {} in range({}, {}):\n",
-                lv.name, lv.lower, lv.upper
-            ));
-        }
-        out.push_str(&"    ".repeat(st.domain.loops.len()));
-        out.push_str(&assignment_line(st, false));
-        out.push('\n');
-    }
-    out
-}
-
-/// Pretty-print to the C-like dialect.
-fn to_c(p: &Program) -> String {
-    let mut out = String::new();
-    for st in &p.statements {
-        for (level, lv) in st.domain.loops.iter().enumerate() {
-            out.push_str(&"  ".repeat(level));
-            out.push_str(&format!(
-                "for ({v} = {lo}; {v} < {hi}; {v}++) {{\n",
-                v = lv.name,
-                lo = lv.lower,
-                hi = lv.upper
-            ));
-        }
-        out.push_str(&"  ".repeat(st.domain.loops.len()));
-        out.push_str(&assignment_line(st, true));
-        out.push_str(";\n");
-        for level in (0..st.domain.loops.len()).rev() {
-            out.push_str(&"  ".repeat(level));
-            out.push_str("}\n");
-        }
-    }
-    out
-}
+#[path = "support/programs.rs"]
+mod programs;
+use programs::{generated_programs, to_c, to_python};
 
 #[test]
 fn random_programs_round_trip_through_both_dialects() {
-    let mut rng = Rng(0x5eed_50a9_2026_0730);
-    for case in 0..300 {
-        let built = gen_program(&mut rng, case);
+    for (case, built) in generated_programs().into_iter().enumerate() {
         let py_src = to_python(&built);
         let c_src = to_c(&built);
         let from_py = parse_python(&built.name, &py_src)

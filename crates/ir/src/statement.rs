@@ -28,15 +28,19 @@ impl Statement {
     /// Validate structural invariants: non-empty loop nest, unique loop
     /// variables, consistent access arities, and subscripts that reference
     /// only loop variables of this statement.
+    ///
+    /// Names are compared in place, nothing is copied: the nest is a handful
+    /// of loops, so a scan of it beats building a set.  Of several unknown
+    /// variables in one access, the alphabetically first is reported.
     pub fn validate(&self) -> Result<(), IrError> {
-        if self.domain.loops.is_empty() {
+        let loops = &self.domain.loops;
+        if loops.is_empty() {
             return Err(IrError::EmptyLoopNest {
                 statement: self.name.clone(),
             });
         }
-        let mut seen = BTreeSet::new();
-        for lv in &self.domain.loops {
-            if !seen.insert(lv.name.clone()) {
+        for (depth, lv) in loops.iter().enumerate() {
+            if loops[..depth].iter().any(|outer| outer.name == lv.name) {
                 return Err(IrError::DuplicateLoopVariable {
                     statement: self.name.clone(),
                     variable: lv.name.clone(),
@@ -50,13 +54,19 @@ impl Statement {
                     array: acc.array.clone(),
                 });
             }
-            for var in acc.variables() {
-                if !seen.contains(&var) {
-                    return Err(IrError::UnknownVariable {
-                        statement: self.name.clone(),
-                        variable: var,
-                    });
+            let mut unknown: Option<&String> = None;
+            for ix in acc.components.iter().flat_map(|c| &c.indices) {
+                for var in ix.coeffs.keys() {
+                    if !loops.iter().any(|lv| lv.name == *var) && unknown.is_none_or(|u| var < u) {
+                        unknown = Some(var);
+                    }
                 }
+            }
+            if let Some(var) = unknown {
+                return Err(IrError::UnknownVariable {
+                    statement: self.name.clone(),
+                    variable: var.clone(),
+                });
             }
         }
         Ok(())

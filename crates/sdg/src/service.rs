@@ -31,8 +31,8 @@
 //! not (they are presentation, not structure — the response splices the
 //! caller's name back in).
 
-use soap_ir::{AffineExpr, ArrayAccess, LinIndex, Program, Statement};
-use std::collections::HashMap;
+use soap_ir::{ArrayAccess, LoopVar, Program, Statement};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// A renaming-invariant structural digest of a program.
@@ -114,75 +114,64 @@ pub fn structural_program_key(program: &Program, opts: &crate::SdgOptions) -> u6
 /// Hash one statement under the positional loop-variable renaming.
 fn hash_statement(h: &mut Fnv, st: &Statement) {
     // Positional rename: the i-th loop variable (outermost first) becomes
-    // position i.  Bounds and subscripts are rewritten through this map; a
-    // name not in the map is a size parameter and keeps its spelling.
-    let rename: HashMap<&str, usize> = st
-        .domain
-        .loops
-        .iter()
-        .enumerate()
-        .map(|(i, lv)| (lv.name.as_str(), i))
-        .collect();
+    // position i.  Bounds and subscripts are hashed through it; a name that
+    // is not a loop variable is a size parameter and keeps its spelling.
+    let loops = &st.domain.loops;
     h.write_str("st");
-    h.write_usize(st.domain.loops.len());
-    for lv in &st.domain.loops {
-        hash_affine(h, &lv.lower, &rename);
-        hash_affine(h, &lv.upper, &rename);
+    h.write_usize(loops.len());
+    for lv in loops {
+        hash_affine(h, &lv.lower.terms, lv.lower.constant, loops);
+        hash_affine(h, &lv.upper.terms, lv.upper.constant, loops);
     }
     h.write_u8(st.is_update as u8);
-    hash_access(h, &st.output, &rename);
+    hash_access(h, &st.output, loops);
     h.write_usize(st.inputs.len());
     for acc in &st.inputs {
-        hash_access(h, acc, &rename);
+        hash_access(h, acc, loops);
     }
 }
 
-fn hash_access(h: &mut Fnv, acc: &ArrayAccess, rename: &HashMap<&str, usize>) {
+fn hash_access(h: &mut Fnv, acc: &ArrayAccess, loops: &[LoopVar]) {
     h.write_str("acc");
     h.write_str(&acc.array);
     h.write_usize(acc.components.len());
     for comp in &acc.components {
         h.write_usize(comp.indices.len());
         for ix in &comp.indices {
-            hash_lin_index(h, ix, rename);
+            hash_affine(h, &ix.coeffs, ix.offset, loops);
         }
     }
 }
 
-fn hash_affine(h: &mut Fnv, e: &AffineExpr, rename: &HashMap<&str, usize>) {
+/// Hash an affine expression: a bound's `terms` and `constant`, or a
+/// subscript's `coeffs` and `offset`.  Names are looked up in place — a nest
+/// is a handful of loops, so scanning it beats building a map.
+fn hash_affine(h: &mut Fnv, terms: &BTreeMap<String, i64>, constant: i64, loops: &[LoopVar]) {
     h.write_str("aff");
-    h.write_i64(e.constant);
-    h.write_usize(e.terms.len());
+    h.write_i64(constant);
+    h.write_usize(terms.len());
     // BTreeMap order is deterministic but name-dependent; emit renamed loop
-    // variables and parameters in two sorted groups so the digest is stable
-    // under renaming.
-    let mut loops: Vec<(usize, i64)> = Vec::new();
-    let mut params: Vec<(&str, i64)> = Vec::new();
-    for (name, coeff) in &e.terms {
-        match rename.get(name.as_str()) {
-            Some(&pos) => loops.push((pos, *coeff)),
-            None => params.push((name, *coeff)),
+    // variables by position, then parameters by name, so the digest is
+    // stable under renaming.
+    for (pos, lv) in loops.iter().enumerate() {
+        let Some(&coeff) = terms.get(&lv.name) else {
+            continue;
+        };
+        // A name bound by several loops takes the position of the last.
+        if loops[pos + 1..].iter().any(|later| later.name == lv.name) {
+            continue;
         }
-    }
-    loops.sort_unstable();
-    for (pos, coeff) in loops {
         h.write_str("v");
         h.write_usize(pos);
         h.write_i64(coeff);
     }
-    for (name, coeff) in params {
-        h.write_str("p");
-        h.write_str(name);
-        h.write_i64(coeff);
+    for (name, &coeff) in terms {
+        if !loops.iter().any(|lv| lv.name == *name) {
+            h.write_str("p");
+            h.write_str(name);
+            h.write_i64(coeff);
+        }
     }
-}
-
-fn hash_lin_index(h: &mut Fnv, ix: &LinIndex, rename: &HashMap<&str, usize>) {
-    let e = AffineExpr {
-        terms: ix.coeffs.clone(),
-        constant: ix.offset,
-    };
-    hash_affine(h, &e, rename);
 }
 
 /// FNV-1a, the same dependency-free construction the canonical-key cache and

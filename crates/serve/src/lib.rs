@@ -52,6 +52,7 @@ use soap_sdg::{
     analyze_program, canonical_program_hash, parse_timeout_ms, Claim, Deadline, InFlight,
     ProgramAnalysis, SdgOptions, SolveCache,
 };
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::SocketAddr;
@@ -613,11 +614,12 @@ impl AnalysisService {
     }
 
     /// Resolve the request to `(program, assume_injective, display name)`.
+    /// A registry kernel is borrowed, not copied.
     #[allow(clippy::type_complexity)]
     fn resolve_program(
         &self,
         req: &httpd::Request,
-    ) -> Result<(soap_ir::Program, bool, String), httpd::Response> {
+    ) -> Result<(Cow<'_, soap_ir::Program>, bool, String), httpd::Response> {
         if let Some(kernel) = req.query_param("kernel") {
             let Some(entry) = self.kernels.iter().find(|e| e.name == kernel) else {
                 return Err(error_response(
@@ -625,7 +627,11 @@ impl AnalysisService {
                     &format!("unknown kernel '{kernel}'; GET /kernels lists the registry"),
                 ));
             };
-            return Ok((entry.program.clone(), entry.assume_injective, kernel));
+            return Ok((
+                Cow::Borrowed(&entry.program),
+                entry.assume_injective,
+                kernel,
+            ));
         }
         if req.method != "POST" {
             return Err(error_response(
@@ -670,7 +676,7 @@ impl AnalysisService {
             }
         };
         match parsed {
-            Ok(program) => Ok((program, injective, name)),
+            Ok(program) => Ok((Cow::Owned(program), injective, name)),
             Err(e) => Err(error_response(400, &format!("parse error: {e}"))),
         }
     }
