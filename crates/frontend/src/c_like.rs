@@ -86,7 +86,10 @@ pub fn parse_c(name: &str, source: &str) -> Result<Program, FrontendError> {
                 let lower = parse_affine(lo.trim())?;
                 let upper = if let Some((_, ub)) = split_once_short(cond, "<=") {
                     let mut ub = parse_affine(ub.trim())?;
-                    ub.constant += 1;
+                    ub.constant = ub
+                        .constant
+                        .checked_add(1)
+                        .ok_or_else(|| syntax(cond, "loop bound overflows a 64-bit integer"))?;
                     ub
                 } else if let Some((_, ub)) = cond.split_once('<') {
                     parse_affine(ub.trim())?

@@ -33,14 +33,15 @@ fn parse_terms(input: &str) -> Result<(BTreeMap<String, i64>, i64), IrError> {
     }
 }
 
-/// Add `value` times the symbol `name` to `terms`.
-fn add_term(terms: &mut BTreeMap<String, i64>, name: &str, value: i64) {
+/// Add `value` times the symbol `name` to `terms`; `None` when the
+/// coefficient overflows `i64`.
+fn add_term(terms: &mut BTreeMap<String, i64>, name: &str, value: i64) -> Option<()> {
     if value == 0 {
-        return;
+        return Some(());
     }
     match terms.get_mut(name) {
         Some(c) => {
-            *c += value;
+            *c = c.checked_add(value)?;
             if *c == 0 {
                 terms.remove(name);
             }
@@ -49,10 +50,11 @@ fn add_term(terms: &mut BTreeMap<String, i64>, name: &str, value: i64) {
             terms.insert(name.to_string(), value);
         }
     }
+    Some(())
 }
 
 /// [`parse_terms`] for the common input, in one pass over the bytes: ASCII
-/// symbols, digits and whitespace, and no error.  `None` hands anything
+/// symbols, digits and whitespace, and no error (an overflowing sum is one).  `None` hands anything
 /// else to [`parse_any_terms`], which reads Unicode symbols and whitespace
 /// too and words the errors.  Where both succeed they agree.
 fn parse_ascii_terms(input: &str) -> Option<(BTreeMap<String, i64>, i64)> {
@@ -120,8 +122,8 @@ fn parse_ascii_terms(input: &str) -> Option<(BTreeMap<String, i64>, i64)> {
             return None;
         }
         match name {
-            None => constant += sign * coeff,
-            Some(n) => add_term(&mut terms, n, sign * coeff),
+            None => constant = constant.checked_add(sign * coeff)?,
+            Some(n) => add_term(&mut terms, n, sign * coeff)?,
         }
     }
     Some((terms, constant))
@@ -155,9 +157,10 @@ fn parse_any_terms(input: &str) -> Result<(BTreeMap<String, i64>, i64), IrError>
             return Err(IrError::Parse(format!("empty term in '{input}'")));
         }
         let (coeff, name) = split_term(term, input)?;
+        let overflow = || IrError::Parse(format!("sum overflows a 64-bit integer in '{input}'"));
         match name {
-            None => constant += sign * coeff,
-            Some(n) => add_term(&mut terms, n, sign * coeff),
+            None => constant = constant.checked_add(sign * coeff).ok_or_else(overflow)?,
+            Some(n) => add_term(&mut terms, n, sign * coeff).ok_or_else(overflow)?,
         }
         sign = 1;
     }
@@ -238,6 +241,31 @@ mod tests {
         assert!(parse_affine("N +").is_err());
         assert!(parse_affine("3N").is_err());
         assert!(parse_affine("").is_ok()); // empty string is the zero expression
+    }
+
+    #[test]
+    fn overflowing_sums_are_errors_in_both_passes() {
+        const MAX: &str = "9223372036854775807";
+        for input in [
+            format!("{MAX}*N + {MAX}*N"),
+            format!("{MAX}*β + {MAX}*β"),
+            format!("{MAX} + 1"),
+            format!("β + {MAX} + 1"),
+            format!("-{MAX} - 2"),
+        ] {
+            match parse_affine(&input) {
+                Err(IrError::Parse(message)) => assert!(message.contains("overflows"), "{message}"),
+                other => panic!("{input}: {other:?}"),
+            }
+        }
+        // Sums that stay in range still parse, cancellation included.
+        let e = parse_affine(&format!("{MAX}*N - {MAX}*N + {MAX} - 1")).unwrap();
+        assert!(e.terms.is_empty());
+        assert_eq!(e.constant, i64::MAX - 1);
+        assert_eq!(
+            parse_affine(&format!("-{MAX} - 1")).unwrap().constant,
+            i64::MIN
+        );
     }
 
     #[test]

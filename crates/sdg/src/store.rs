@@ -45,18 +45,19 @@
 //! ## Hydration and inspection
 //!
 //! Opening a cache over a store ([`SolveCache::with_store`](crate::SolveCache::with_store))
-//! reads each segment once and checks its record lines in parallel on the
-//! worker pool, under the process's worker budget (`SOAP_THREADS` /
-//! `--threads`).  A solve record is digest-checked and decoded there; a
-//! report record is only digest-checked and has its key read from the fixed
-//! `{"key":N,` prefix of its payload, and the loading thread keeps the
-//! payload itself, so no report is decoded at open.  A report payload is
-//! shape-checked when a replay decodes it: one that does not decode is
-//! dropped and answered as a miss, and the cold analysis records a fresh one
-//! for the next flush.
-//! The per-line work is a pure function of the line and the pool keeps line
-//! order, so the merge, the counts and the notes are the same under any
-//! budget.  Only hydration repairs: a segment with corrupt records has its
+//! reads each segment once and checks its record lines on the loading
+//! thread, in line order, so the merge, the counts and the notes do not
+//! depend on the worker budget (`SOAP_THREADS` / `--threads` governs the
+//! analyses, not hydration), and everything a cache retains is allocated
+//! there.  Both families share one codec: a direct writer and reader of the
+//! payload layout, with no intermediate `Value` tree.  A solve record is
+//! digest-checked and decoded at open; a report record is only
+//! digest-checked and has its key read from the fixed `{"key":N,` prefix of
+//! its payload, and the cache keeps the payload itself, so no report is
+//! decoded at open.  A report payload is shape-checked when a replay
+//! decodes it: one that does not decode is dropped and answered as a miss,
+//! and the cold analysis records a fresh one for the next flush.
+//! Only hydration repairs: a segment with corrupt records has its
 //! good records salvaged into a fresh segment and is then renamed
 //! `*.quarantined`.  The inspection passes [`SolveStore::stat`] and
 //! [`SolveStore::report_stat`] (`soap-cli cache stat`) count and note the
@@ -86,8 +87,6 @@ use crate::cache::{
     CanonicalAtom, CanonicalDominator, CanonicalKey, CanonicalRow, CanonicalSolution,
 };
 use crate::faults::FaultPlan;
-use rayon::prelude::*;
-use serde::{DeError, Deserialize, Serialize, Value};
 use soap_core::{AnalysisError, IntensityResult};
 use soap_symbolic::{Expr, Monomial, Polynomial, Rational};
 use std::collections::HashMap;
@@ -104,7 +103,7 @@ pub const STORE_HEADER: &str = "soap-solve-store/1";
 pub const REPORT_HEADER: &str = "soap-report-store/1";
 
 /// File-name extension of segment files.
-const SEGMENT_EXT: &str = "soapstore";
+const SEGMENT_EXT: &str = ".soapstore";
 
 /// One record family within a store directory: its file-name prefix, its
 /// format-version header, and the header stem that identifies a *future*
@@ -141,8 +140,9 @@ enum Repair {
     ReadOnly,
 }
 
-/// Suffix appended to a segment's file name when it is quarantined.
-const QUARANTINE_SUFFIX: &str = ".quarantined";
+/// File-name ending of a quarantined segment: its name with
+/// `.quarantined` appended.
+const QUARANTINED_EXT: &str = ".soapstore.quarantined";
 
 /// Store I/O attempts per operation (1 initial + bounded retries).  Transient
 /// failures — a reader racing a writer's rename, NFS hiccups, injected test
@@ -337,18 +337,18 @@ impl SolveStore {
         &self.dir
     }
 
-    /// All files of one record family, in load order (sorted by file name —
-    /// names are timestamp-prefixed, so this is write order up to clock skew,
-    /// which the last-writer-wins merge tolerates).
-    fn family_files(&self, prefix: &str) -> io::Result<Vec<PathBuf>> {
+    /// The files named `<prefix>…<suffix>`, sorted by name.  For a family's
+    /// segments that is load order: names are timestamp-prefixed, so this is
+    /// write order up to clock skew, which the last-writer-wins merge
+    /// tolerates.
+    fn family_files(&self, prefix: &str, suffix: &str) -> io::Result<Vec<PathBuf>> {
         let mut files: Vec<PathBuf> = std::fs::read_dir(&self.dir)?
             .filter_map(|e| e.ok())
             .map(|e| e.path())
             .filter(|p| {
-                p.extension().and_then(|e| e.to_str()) == Some(SEGMENT_EXT)
-                    && p.file_name()
-                        .and_then(|n| n.to_str())
-                        .is_some_and(|n| n.starts_with(prefix))
+                p.file_name()
+                    .and_then(|n| n.to_str())
+                    .is_some_and(|n| n.starts_with(prefix) && n.ends_with(suffix))
             })
             .collect();
         files.sort();
@@ -357,36 +357,31 @@ impl SolveStore {
 
     /// All solve-record segment files of the store, in load order.
     pub fn segment_files(&self) -> io::Result<Vec<PathBuf>> {
-        self.family_files(SOLVE_FAMILY.prefix)
+        self.family_files(SOLVE_FAMILY.prefix, SEGMENT_EXT)
     }
 
     /// All report-record segment files of the store, in load order.
     pub fn report_files(&self) -> io::Result<Vec<PathBuf>> {
-        self.family_files(REPORT_FAMILY.prefix)
+        self.family_files(REPORT_FAMILY.prefix, SEGMENT_EXT)
     }
 
-    /// Load every segment of one family, checking records with `decode` and
-    /// handing each good one to `keep` with its line, under the retry /
-    /// fault-injection / header-check discipline shared by both record
-    /// families; under [`Repair::Salvage`] a segment with corrupt records is
-    /// also salvaged and quarantined.  Records reach `keep` in segment order
-    /// (the caller merges last-writer-wins); `stats.entries` is left for the
-    /// caller to fill after its merge.
-    ///
-    /// `decode` runs on the worker pool: it is a pure function of the line,
-    /// and the pool's collect keeps line order, so the records, counts and
-    /// notes do not depend on the worker budget.  `keep` runs on the loading
-    /// thread, so whatever it retains is allocated there.  Everything that
-    /// touches the file system stays serial, one segment at a time.
-    fn load_family<T: Send>(
+    /// Load every segment of one family and fold the records that `entry`
+    /// turns into map entries with the last-writer-wins merge (later records
+    /// overwrite earlier ones per key); a line `entry` rejects is skipped.
+    /// Both record families share this retry / fault-injection / header-check
+    /// discipline; under [`Repair::Salvage`] a segment with corrupt records is
+    /// also salvaged and quarantined.  Everything runs on the loading thread,
+    /// one segment at a time, so whatever the merged map retains is allocated
+    /// there.
+    fn load_merged<K: Eq + Hash, V>(
         &self,
         family: &Family,
-        decode: impl Fn(&str) -> Option<T> + Sync,
-        mut keep: impl FnMut(T, &str),
+        entry: impl Fn(&str) -> Option<(K, V)>,
         repair: Repair,
-    ) -> io::Result<StoreLoadStats> {
+    ) -> io::Result<(HashMap<K, V>, StoreLoadStats)> {
+        let mut merged = HashMap::new();
         let mut stats = StoreLoadStats::default();
-        for path in self.family_files(family.prefix)? {
+        for path in self.family_files(family.prefix, SEGMENT_EXT)? {
             let name = path
                 .file_name()
                 .map(|n| n.to_string_lossy().into_owned())
@@ -427,26 +422,24 @@ impl SolveStore {
                 }
             }
             stats.segments += 1;
-            let lines: Vec<&str> = lines.filter(|line| !line.is_empty()).collect();
-            let records: Vec<Option<T>> = lines.par_iter().map(|line| decode(line)).collect();
-            // Indices of the lines that failed, ascending.
-            let mut skipped: Vec<usize> = Vec::new();
-            for (i, (record, line)) in records.into_iter().zip(&lines).enumerate() {
-                match record {
-                    Some(record) => {
-                        stats.records += 1;
-                        keep(record, line);
+            let mut good_lines: Vec<&str> = Vec::new();
+            let mut skipped = 0;
+            for line in lines.filter(|line| !line.is_empty()) {
+                match entry(line) {
+                    Some((key, value)) => {
+                        merged.insert(key, value);
+                        good_lines.push(line);
                     }
-                    None => skipped.push(i),
+                    None => skipped += 1,
                 }
             }
-            if skipped.is_empty() {
+            stats.records += good_lines.len();
+            if skipped == 0 {
                 continue;
             }
-            stats.records_skipped += skipped.len();
+            stats.records_skipped += skipped;
             let mut note = format!(
-                "segment {name}: {} corrupt/truncated record(s) skipped (integrity check or parse failure)",
-                skipped.len()
+                "segment {name}: {skipped} corrupt/truncated record(s) skipped (integrity check or parse failure)"
             );
             if repair == Repair::ReadOnly {
                 note.push_str("; segment left in place (read-only inspection)");
@@ -461,12 +454,6 @@ impl SolveStore {
             // none), so it never costs store entries; a failed salvage or
             // rename is only noted — both are hygiene, not a load
             // precondition.
-            let good_lines: Vec<&str> = lines
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| skipped.binary_search(i).is_err())
-                .map(|(_, line)| *line)
-                .collect();
             let salvaged = if good_lines.is_empty() {
                 Ok(())
             } else {
@@ -474,9 +461,8 @@ impl SolveStore {
             };
             match salvaged {
                 Ok(()) => {
-                    let mut quarantined_name = name.clone();
-                    quarantined_name.push_str(QUARANTINE_SUFFIX);
-                    match std::fs::rename(&path, path.with_file_name(&quarantined_name)) {
+                    let quarantined = path.with_file_name(format!("{name}.quarantined"));
+                    match std::fs::rename(&path, quarantined) {
                         Ok(()) => {
                             stats.quarantined += 1;
                             note.push_str("; segment quarantined");
@@ -488,29 +474,6 @@ impl SolveStore {
             }
             stats.notes.push(note);
         }
-        Ok(stats)
-    }
-
-    /// Load every segment of one family and fold its records, turned into
-    /// map entries by `entry` on the loading thread, with the
-    /// last-writer-wins merge (later records overwrite earlier ones per key).
-    fn load_merged<T: Send, K: Eq + Hash, V>(
-        &self,
-        family: &Family,
-        decode: impl Fn(&str) -> Option<T> + Sync,
-        entry: impl Fn(T, &str) -> (K, V),
-        repair: Repair,
-    ) -> io::Result<(HashMap<K, V>, StoreLoadStats)> {
-        let mut merged = HashMap::new();
-        let mut stats = self.load_family(
-            family,
-            decode,
-            |record, line| {
-                let (key, value) = entry(record, line);
-                merged.insert(key, value);
-            },
-            repair,
-        )?;
         stats.entries = merged.len();
         Ok((merged, stats))
     }
@@ -518,12 +481,7 @@ impl SolveStore {
     /// Hydrate every solve record (salvaging and quarantining corrupt
     /// segments), merged last-writer-wins.
     pub(crate) fn load(&self) -> io::Result<(StoredSolutions, StoreLoadStats)> {
-        self.load_merged(
-            &SOLVE_FAMILY,
-            decode_record,
-            |entry, _| entry,
-            Repair::Salvage,
-        )
+        self.load_merged(&SOLVE_FAMILY, decode_record, Repair::Salvage)
     }
 
     /// Hydrate every report record (salvaging and quarantining segments with
@@ -532,13 +490,13 @@ impl SolveStore {
     pub(crate) fn load_reports(&self) -> io::Result<(HashMap<u64, HeldReport>, StoreLoadStats)> {
         self.load_merged(
             &REPORT_FAMILY,
-            report_line_key,
-            |key, line| {
+            |line| {
+                let key = report_line_key(line)?;
                 let held = HeldReport {
                     payload: Box::from(&line[DIGEST_PREFIX..]),
                     on_disk: true,
                 };
-                (key, held)
+                Some((key, held))
             },
             Repair::Salvage,
         )
@@ -550,8 +508,7 @@ impl SolveStore {
     pub fn stat(&self) -> io::Result<StoreLoadStats> {
         self.load_merged(
             &SOLVE_FAMILY,
-            decode_record,
-            |(key, _), _| (key, ()),
+            |line| decode_record(line).map(|(key, _)| (key, ())),
             Repair::ReadOnly,
         )
         .map(|(_, stats)| stats)
@@ -563,8 +520,7 @@ impl SolveStore {
     pub fn report_stat(&self) -> io::Result<StoreLoadStats> {
         self.load_merged(
             &REPORT_FAMILY,
-            report_line_key,
-            |key, _| (key, ()),
+            |line| report_line_key(line).map(|key| (key, ())),
             Repair::ReadOnly,
         )
         .map(|(_, stats)| stats)
@@ -574,28 +530,13 @@ impl SolveStore {
     /// (`seg-*.soapstore.quarantined`), in name order — surfaced by
     /// `soap-cli cache stat` and removed by [`SolveStore::clear`].
     pub fn quarantined_files(&self) -> io::Result<Vec<PathBuf>> {
-        self.quarantined_family_files(SOLVE_FAMILY.prefix)
+        self.family_files(SOLVE_FAMILY.prefix, QUARANTINED_EXT)
     }
 
     /// Report segments quarantined by earlier loads
     /// (`rpt-*.soapstore.quarantined`), in name order.
     pub fn report_quarantined_files(&self) -> io::Result<Vec<PathBuf>> {
-        self.quarantined_family_files(REPORT_FAMILY.prefix)
-    }
-
-    fn quarantined_family_files(&self, prefix: &str) -> io::Result<Vec<PathBuf>> {
-        let mut files: Vec<PathBuf> = std::fs::read_dir(&self.dir)?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| {
-                p.file_name().and_then(|n| n.to_str()).is_some_and(|n| {
-                    n.starts_with(prefix)
-                        && n.ends_with(&format!(".{SEGMENT_EXT}{QUARANTINE_SUFFIX}"))
-                })
-            })
-            .collect();
-        files.sort();
-        Ok(files)
+        self.family_files(REPORT_FAMILY.prefix, QUARANTINED_EXT)
     }
 
     /// Persist entries as one new segment file.  Returns the segment path.
@@ -635,7 +576,7 @@ impl SolveStore {
             .map(|d| d.as_nanos())
             .unwrap_or(0);
         let name = format!(
-            "{}{nanos:020}-{}-{:04}.{SEGMENT_EXT}",
+            "{}{nanos:020}-{}-{:04}{SEGMENT_EXT}",
             family.prefix,
             std::process::id(),
             SEGMENT_SEQ.fetch_add(1, Ordering::Relaxed)
@@ -696,12 +637,21 @@ impl SolveStore {
 
 // --- record codec -----------------------------------------------------------
 //
-// One record per line: `<16-hex fnv1a-64 of payload> <payload JSON>`.  The
-// payload reuses the workspace serde stand-in's `Value` model; floats that
-// must stay byte-identical across the round trip (`chi_coeff`, the tile
-// coefficients) are stored as raw `f64::to_bits` integers, exact `i128`
-// rationals as `[num, den]` pairs, and `ρ`/`X₀` in `Expr`'s existing serde
-// wire format.
+// One record per line, in both families: `<16-hex fnv1a-64 of payload>
+// <payload JSON>`.  Floats that must stay byte-identical across the round
+// trip (`chi`, the tile coefficients, `rho_ref`) are stored as raw
+// `f64::to_bits` integers, exact `i128` rationals as `[num, den]` pairs, and
+// `Expr`s in their serde wire format.  One direct writer (`JsonOut`) prints
+// every payload with no `Value` tree — exactly the bytes the JSON stand-in
+// prints for the equivalent tree — and one reader (`JsonIn`) reads that layout
+// back the same way.
+//
+// A solve record's payload is
+// `{"key":{"n":N,"obj":ROWS,"dom":DOM},"sol":SOL}`, where a row is
+// `[[e_1,…,e_n],[num,den]]`, `DOM` is `{"Pure":ROWS}` or
+// `{"Max":{"terms":[[exps,[num,den],[atom ids]],…],"atoms":[{"min":bool,
+// "branches":[ROWS,…]},…]}}`, and `SOL` is `{"Ok":{"sigma":…,"chi":…,
+// "rho":…,"x0":…,"exps":[…],"coeffs":[…]}}` or `{"Err":{"Variant":"msg"}}`.
 
 /// FNV-1a 64-bit digest (offset basis `0xcbf29ce484222325`, prime
 /// `0x100000001b3`) — tiny, dependency-free, and ample as a corruption (not
@@ -715,20 +665,6 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
-}
-
-/// Encode one record line (without the trailing newline).
-pub(crate) fn encode_record(
-    key: &CanonicalKey,
-    sol: &Result<CanonicalSolution, AnalysisError>,
-) -> String {
-    let payload = Value::Object(vec![
-        ("key".to_string(), key_to_value(key)),
-        ("sol".to_string(), solution_to_value(sol)),
-    ]);
-    // lint:allow(unwrap-expect): record payloads are plain maps of strings and numbers; serialization cannot fail
-    let json = serde_json::to_string(&payload).expect("record serializes");
-    record_line(&json)
 }
 
 /// Length of the `<16-hex digest> ` prefix of every record line.
@@ -751,200 +687,9 @@ fn checked_json(line: &str) -> Option<&str> {
     Some(json)
 }
 
-/// Decode a solve record line; `None` on a digest or shape failure.
-fn decode_record(line: &str) -> Option<StoreEntry> {
-    solve_record_from_payload(&serde_json::from_str(checked_json(line)?).ok()?)
-}
-
-/// Decode a solve record's payload; `None` on any shape failure.
-fn solve_record_from_payload(payload: &Value) -> Option<StoreEntry> {
-    let key = key_from_value(payload.get("key")?).ok()?;
-    let sol = solution_from_value(payload.get("sol")?).ok()?;
-    Some((key, sol))
-}
-
-fn rational_to_value(r: Rational) -> Value {
-    Value::Array(vec![Value::Int(r.numer()), Value::Int(r.denom())])
-}
-
-fn rational_from_value(v: &Value) -> Result<Rational, DeError> {
-    let [num, den] = v
-        .as_array()
-        .and_then(|a| <&[Value; 2]>::try_from(a).ok())
-        .ok_or_else(|| DeError::msg("rational: expected [num, den]"))?;
-    let num = num
-        .as_i128()
-        .ok_or_else(|| DeError::msg("rational: non-integer numerator"))?;
-    let den = den
-        .as_i128()
-        .filter(|&d| d != 0)
-        .ok_or_else(|| DeError::msg("rational: bad denominator"))?;
-    Ok(Rational::new(num, den))
-}
-
-/// `f64` as its raw bit pattern: the only representation that survives the
-/// text round trip bit-exactly for every value, including NaN payloads and
-/// signed zeros (the JSON layer would flatten non-finite floats to `null`).
-fn f64_to_value(x: f64) -> Value {
-    Value::Int(i128::from(x.to_bits()))
-}
-
-fn f64_from_value(v: &Value) -> Result<f64, DeError> {
-    let bits = v
-        .as_i128()
-        .and_then(|n| u64::try_from(n).ok())
-        .ok_or_else(|| DeError::msg("float: expected u64 bit pattern"))?;
-    Ok(f64::from_bits(bits))
-}
-
-fn rows_to_value(rows: &[CanonicalRow]) -> Value {
-    Value::Array(
-        rows.iter()
-            .map(|(exps, coeff)| Value::Array(vec![exps.to_value(), rational_to_value(*coeff)]))
-            .collect(),
-    )
-}
-
-fn rows_from_value(v: &Value) -> Result<Vec<CanonicalRow>, DeError> {
-    v.as_array()
-        .ok_or_else(|| DeError::msg("rows: expected array"))?
-        .iter()
-        .map(|row| {
-            let [exps, coeff] = row
-                .as_array()
-                .and_then(|a| <&[Value; 2]>::try_from(a).ok())
-                .ok_or_else(|| DeError::msg("row: expected [exps, rational]"))?;
-            Ok((Vec::<i16>::from_value(exps)?, rational_from_value(coeff)?))
-        })
-        .collect()
-}
-
-fn key_to_value(key: &CanonicalKey) -> Value {
-    let dominator = match &key.dominator {
-        CanonicalDominator::Pure(rows) => {
-            Value::Object(vec![("Pure".to_string(), rows_to_value(rows))])
-        }
-        CanonicalDominator::Max { terms, atoms } => {
-            let terms = Value::Array(
-                terms
-                    .iter()
-                    .map(|(exps, coeff, atom_ids)| {
-                        Value::Array(vec![
-                            exps.to_value(),
-                            rational_to_value(*coeff),
-                            atom_ids.to_value(),
-                        ])
-                    })
-                    .collect(),
-            );
-            let atoms = Value::Array(
-                atoms
-                    .iter()
-                    .map(|a| {
-                        Value::Object(vec![
-                            ("min".to_string(), Value::Bool(a.is_min)),
-                            (
-                                "branches".to_string(),
-                                Value::Array(a.branches.iter().map(|b| rows_to_value(b)).collect()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            );
-            Value::Object(vec![(
-                "Max".to_string(),
-                Value::Object(vec![
-                    ("terms".to_string(), terms),
-                    ("atoms".to_string(), atoms),
-                ]),
-            )])
-        }
-    };
-    Value::Object(vec![
-        ("n".to_string(), key.n_vars.to_value()),
-        ("obj".to_string(), rows_to_value(&key.objective)),
-        ("dom".to_string(), dominator),
-    ])
-}
-
-fn key_from_value(v: &Value) -> Result<CanonicalKey, DeError> {
-    let n_vars = usize::from_value(v.get("n").ok_or_else(|| DeError::msg("key: missing 'n'"))?)?;
-    let objective = rows_from_value(
-        v.get("obj")
-            .ok_or_else(|| DeError::msg("key: missing 'obj'"))?,
-    )?;
-    let dom = v
-        .get("dom")
-        .ok_or_else(|| DeError::msg("key: missing 'dom'"))?;
-    let dominator = if let Some(rows) = dom.get("Pure") {
-        CanonicalDominator::Pure(rows_from_value(rows)?)
-    } else if let Some(max) = dom.get("Max") {
-        let terms = max
-            .get("terms")
-            .and_then(Value::as_array)
-            .ok_or_else(|| DeError::msg("key: Max missing 'terms'"))?
-            .iter()
-            .map(|t| {
-                let [exps, coeff, atom_ids] = t
-                    .as_array()
-                    .and_then(|a| <&[Value; 3]>::try_from(a).ok())
-                    .ok_or_else(|| DeError::msg("key: Max term shape"))?;
-                Ok((
-                    Vec::<i16>::from_value(exps)?,
-                    rational_from_value(coeff)?,
-                    Vec::<u32>::from_value(atom_ids)?,
-                ))
-            })
-            .collect::<Result<Vec<_>, DeError>>()?;
-        let atoms = max
-            .get("atoms")
-            .and_then(Value::as_array)
-            .ok_or_else(|| DeError::msg("key: Max missing 'atoms'"))?
-            .iter()
-            .map(|a| {
-                let is_min = bool::from_value(
-                    a.get("min")
-                        .ok_or_else(|| DeError::msg("key: atom missing 'min'"))?,
-                )?;
-                let branches = a
-                    .get("branches")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| DeError::msg("key: atom missing 'branches'"))?
-                    .iter()
-                    .map(rows_from_value)
-                    .collect::<Result<Vec<_>, DeError>>()?;
-                Ok(CanonicalAtom { is_min, branches })
-            })
-            .collect::<Result<Vec<_>, DeError>>()?;
-        CanonicalDominator::Max { terms, atoms }
-    } else {
-        return Err(DeError::msg("key: dominator is neither Pure nor Max"));
-    };
-    let key = CanonicalKey {
-        n_vars,
-        objective,
-        dominator,
-    };
-    // Shape validation: a record whose matrices disagree with `n` would
-    // poison the cache with a key no live model can produce.
-    let row_ok = |rows: &[CanonicalRow]| rows.iter().all(|(e, _)| e.len() == n_vars);
-    let shape_ok = row_ok(&key.objective)
-        && match &key.dominator {
-            CanonicalDominator::Pure(rows) => row_ok(rows),
-            CanonicalDominator::Max { terms, atoms } => {
-                terms.iter().all(|(e, _, ids)| {
-                    e.len() == n_vars && ids.iter().all(|&j| (j as usize) < atoms.len())
-                }) && atoms.iter().all(|a| a.branches.iter().all(|b| row_ok(b)))
-            }
-        };
-    if !shape_ok {
-        return Err(DeError::msg("key: matrix shape disagrees with 'n'"));
-    }
-    Ok(key)
-}
-
-fn error_to_value(e: &AnalysisError) -> Value {
-    let (tag, msg) = match e {
+/// The serde variant name and message of an analysis error.
+fn error_parts(e: &AnalysisError) -> (&'static str, &str) {
+    match e {
         AnalysisError::InvalidStatement(m) => ("InvalidStatement", m),
         AnalysisError::NoInputs(m) => ("NoInputs", m),
         AnalysisError::NumericalFailure(m) => ("NumericalFailure", m),
@@ -952,103 +697,179 @@ fn error_to_value(e: &AnalysisError) -> Value {
         // Kept total for codec symmetry, but never reached from `flush_store`:
         // cancelled results carry the transient scope and are filtered out.
         AnalysisError::Cancelled(m) => ("Cancelled", m),
-    };
-    Value::Object(vec![(tag.to_string(), Value::Str(msg.clone()))])
-}
-
-fn error_from_value(v: &Value) -> Result<AnalysisError, DeError> {
-    let Value::Object(fields) = v else {
-        return Err(DeError::msg("error: expected single-key object"));
-    };
-    let [(tag, payload)] = fields.as_slice() else {
-        return Err(DeError::msg("error: expected exactly one variant"));
-    };
-    let msg = String::from_value(payload)?;
-    match tag.as_str() {
-        "InvalidStatement" => Ok(AnalysisError::InvalidStatement(msg)),
-        "NoInputs" => Ok(AnalysisError::NoInputs(msg)),
-        "NumericalFailure" => Ok(AnalysisError::NumericalFailure(msg)),
-        "Internal" => Ok(AnalysisError::Internal(msg)),
-        "Cancelled" => Ok(AnalysisError::Cancelled(msg)),
-        other => Err(DeError::msg(format!("error: unknown variant '{other}'"))),
     }
 }
 
-fn solution_to_value(sol: &Result<CanonicalSolution, AnalysisError>) -> Value {
+/// Encode one solve record line (without the trailing newline).
+pub(crate) fn encode_record(
+    key: &CanonicalKey,
+    sol: &Result<CanonicalSolution, AnalysisError>,
+) -> String {
+    let mut w = JsonOut(Vec::with_capacity(512));
+    w.raw("{\"key\":{\"n\":");
+    w.u64(key.n_vars as u64);
+    w.raw(",\"obj\":");
+    w.rows(&key.objective);
+    w.raw(",\"dom\":");
+    match &key.dominator {
+        CanonicalDominator::Pure(rows) => {
+            w.raw("{\"Pure\":");
+            w.rows(rows);
+        }
+        CanonicalDominator::Max { terms, atoms } => {
+            w.raw("{\"Max\":{\"terms\":");
+            w.seq(terms, |w, (exps, coeff, atom_ids)| {
+                w.raw("[");
+                w.seq(exps, |w, e| w.i128(i128::from(*e)));
+                w.raw(",");
+                w.rational_pair(*coeff);
+                w.raw(",");
+                w.seq(atom_ids, |w, id| w.u64(u64::from(*id)));
+                w.raw("]");
+            });
+            w.raw(",\"atoms\":");
+            w.seq(atoms, |w, atom| {
+                w.raw(if atom.is_min {
+                    "{\"min\":true,\"branches\":"
+                } else {
+                    "{\"min\":false,\"branches\":"
+                });
+                w.seq(&atom.branches, |w, rows| w.rows(rows));
+                w.raw("}");
+            });
+            w.raw("}");
+        }
+    }
+    w.raw("}},\"sol\":");
     match sol {
-        Ok(s) => Value::Object(vec![(
-            "Ok".to_string(),
-            Value::Object(vec![
-                ("sigma".to_string(), rational_to_value(s.sigma)),
-                ("chi".to_string(), f64_to_value(s.chi_coeff)),
-                ("rho".to_string(), s.rho.to_value()),
-                ("x0".to_string(), s.x0.to_value()),
-                (
-                    "exps".to_string(),
-                    Value::Array(
-                        s.tile_exponents
-                            .iter()
-                            .map(|r| rational_to_value(*r))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "coeffs".to_string(),
-                    Value::Array(s.tile_coeffs.iter().map(|c| f64_to_value(*c)).collect()),
-                ),
-            ]),
-        )]),
-        Err(e) => Value::Object(vec![("Err".to_string(), error_to_value(e))]),
+        Ok(s) => {
+            w.raw("{\"Ok\":{\"sigma\":");
+            w.rational_pair(s.sigma);
+            w.raw(",\"chi\":");
+            w.u64(s.chi_coeff.to_bits());
+            w.raw(",\"rho\":");
+            w.expr(&s.rho);
+            w.raw(",\"x0\":");
+            w.opt_expr(s.x0.as_ref());
+            w.raw(",\"exps\":");
+            w.seq(&s.tile_exponents, |w, e| w.rational_pair(*e));
+            w.raw(",\"coeffs\":");
+            w.seq(&s.tile_coeffs, |w, c| w.u64(c.to_bits()));
+            w.raw("}}}");
+        }
+        Err(e) => {
+            let (variant, message) = error_parts(e);
+            w.raw("{\"Err\":{\"");
+            w.raw(variant);
+            w.raw("\":");
+            w.str(message);
+            w.raw("}}}");
+        }
     }
+    record_line(&w.into_string())
 }
 
-fn solution_from_value(v: &Value) -> Result<Result<CanonicalSolution, AnalysisError>, DeError> {
-    if let Some(err) = v.get("Err") {
-        return Ok(Err(error_from_value(err)?));
-    }
-    let s = v
-        .get("Ok")
-        .ok_or_else(|| DeError::msg("solution: expected Ok or Err"))?;
-    let field = |name: &str| {
-        s.get(name)
-            .ok_or_else(|| DeError::msg(format!("solution: missing '{name}'")))
+/// Decode a solve record line; `None` on a digest or shape failure.  A key
+/// whose matrices disagree with its `n`, or that names an atom it does not
+/// have, is rejected: no live model can produce it, so it would only poison
+/// the cache.
+fn decode_record(line: &str) -> Option<StoreEntry> {
+    let r = &mut JsonIn::new(checked_json(line)?);
+    r.lit("{\"key\":{\"n\":")?;
+    let n_vars = usize::try_from(r.u64()?).ok()?;
+    r.lit(",\"obj\":")?;
+    let objective = r.rows(n_vars)?;
+    r.lit(",\"dom\":{\"")?;
+    let dominator = if r.lit("Pure\":").is_some() {
+        CanonicalDominator::Pure(r.rows(n_vars)?)
+    } else {
+        r.lit("Max\":{\"terms\":")?;
+        let terms = r.list(|r| {
+            r.lit("[")?;
+            let exps = r.exponents(n_vars)?;
+            r.lit(",")?;
+            let coeff = r.rational_pair()?;
+            r.lit(",")?;
+            let atom_ids = r.list(|r| u32::try_from(r.i128()?).ok())?;
+            r.lit("]")?;
+            Some((exps, coeff, atom_ids))
+        })?;
+        r.lit(",\"atoms\":")?;
+        let atoms = r.list(|r| {
+            r.lit("{\"min\":")?;
+            let is_min = r.lit("true").is_some();
+            if !is_min {
+                r.lit("false")?;
+            }
+            r.lit(",\"branches\":")?;
+            let branches = r.list(|r| r.rows(n_vars))?;
+            r.lit("}")?;
+            Some(CanonicalAtom { is_min, branches })
+        })?;
+        r.lit("}")?;
+        if terms
+            .iter()
+            .flat_map(|(_, _, ids)| ids)
+            .any(|&j| j as usize >= atoms.len())
+        {
+            return None;
+        }
+        CanonicalDominator::Max { terms, atoms }
     };
-    let tile_exponents = field("exps")?
-        .as_array()
-        .ok_or_else(|| DeError::msg("solution: 'exps' not an array"))?
-        .iter()
-        .map(rational_from_value)
-        .collect::<Result<Vec<_>, DeError>>()?;
-    let tile_coeffs = field("coeffs")?
-        .as_array()
-        .ok_or_else(|| DeError::msg("solution: 'coeffs' not an array"))?
-        .iter()
-        .map(f64_from_value)
-        .collect::<Result<Vec<_>, DeError>>()?;
-    if tile_exponents.len() != tile_coeffs.len() {
-        return Err(DeError::msg("solution: exps/coeffs length mismatch"));
-    }
-    Ok(Ok(CanonicalSolution {
-        sigma: rational_from_value(field("sigma")?)?,
-        chi_coeff: f64_from_value(field("chi")?)?,
-        rho: Expr::from_value(field("rho")?)?,
-        x0: Option::<Expr>::from_value(field("x0")?)?,
-        tile_exponents,
-        tile_coeffs,
-    }))
+    r.lit("}},\"sol\":{\"")?;
+    let sol = if r.lit("Ok\":{\"sigma\":").is_some() {
+        let sigma = r.rational_pair()?;
+        r.lit(",\"chi\":")?;
+        let chi_coeff = r.f64_bits()?;
+        r.lit(",\"rho\":")?;
+        let rho = r.expr()?;
+        r.lit(",\"x0\":")?;
+        let x0 = r.opt_expr()?;
+        r.lit(",\"exps\":")?;
+        let tile_exponents = r.list(JsonIn::rational_pair)?;
+        r.lit(",\"coeffs\":")?;
+        let tile_coeffs = r.list(JsonIn::f64_bits)?;
+        if tile_exponents.len() != tile_coeffs.len() {
+            return None;
+        }
+        Ok(CanonicalSolution {
+            sigma,
+            chi_coeff,
+            rho,
+            x0,
+            tile_exponents,
+            tile_coeffs,
+        })
+    } else {
+        r.lit("Err\":{")?;
+        let variant = r.string()?;
+        r.lit(":")?;
+        let message = r.string()?;
+        Err(match variant.as_str() {
+            "InvalidStatement" => AnalysisError::InvalidStatement(message),
+            "NoInputs" => AnalysisError::NoInputs(message),
+            "NumericalFailure" => AnalysisError::NumericalFailure(message),
+            "Internal" => AnalysisError::Internal(message),
+            "Cancelled" => AnalysisError::Cancelled(message),
+            _ => return None,
+        })
+    };
+    r.lit("}}}")?;
+    r.end()?;
+    let key = CanonicalKey {
+        n_vars,
+        objective,
+        dominator,
+    };
+    Some((key, sol))
 }
 
 // --- report-record codec -----------------------------------------------------
 //
-// Same line format and float/rational conventions as solve records; the
-// payload is `{"key": <u64 structural program key>, "report": {...}}` with the
-// finished per-array Theorem-1 terms, the evaluated subgraphs, and the total
-// bound — everything a warm path needs to resplice a `ProgramAnalysis`
-// without touching the SDG pipeline.  The writer (`JsonOut`) prints exactly
-// the bytes `serde_json` prints for the payload's `Value` tree (`Expr` and
-// the intensity's `x0` in their serde wire format, strings escaped the same
-// way) without building the tree, and a replay reads that layout back the
-// same way (`JsonIn`).
+// The payload is `{"key": <u64 structural program key>, "report": {...}}`
+// with the finished per-array Theorem-1 terms, the evaluated subgraphs, and
+// the total bound — everything a warm path needs to resplice a
+// `ProgramAnalysis` without touching the SDG pipeline.
 
 /// Encode the payload of a report record straight from the finished
 /// analysis' parts.  Its record line — the payload behind its FNV-1a digest
@@ -1059,9 +880,8 @@ pub(crate) fn encode_report_payload(key: u64, report: ReportParts<'_>) -> String
     let mut w = JsonOut(Vec::with_capacity(4096));
     w.raw("{\"key\":");
     w.u64(key);
-    w.raw(",\"report\":{\"per_array\":[");
-    for (i, b) in report.per_array.iter().enumerate() {
-        w.comma(i);
+    w.raw(",\"report\":{\"per_array\":");
+    w.seq(report.per_array, |w, b| {
         w.raw("{\"array\":");
         w.str(&b.array);
         w.raw(",\"vertices\":");
@@ -1071,17 +891,16 @@ pub(crate) fn encode_report_payload(key: u64, report: ReportParts<'_>) -> String
         w.raw(",\"sigma\":");
         w.rational_pair(b.sigma);
         w.raw(",\"best\":");
-        w.str_list(&b.best_subgraph);
+        w.seq(&b.best_subgraph, |w, s| w.str(s));
         w.raw(",\"bound\":");
         w.expr(&b.bound);
         w.raw("}");
-    }
-    w.raw("],\"subgraphs\":[");
-    for (i, s) in report.subgraphs.iter().enumerate() {
-        w.comma(i);
+    });
+    w.raw(",\"subgraphs\":");
+    w.seq(report.subgraphs, |w, s| {
         let r = &s.intensity;
         w.raw("{\"arrays\":");
-        w.str_list(&s.arrays);
+        w.seq(&s.arrays, |w, s| w.str(s));
         w.raw(",\"intensity\":{\"name\":");
         w.str(&r.name);
         w.raw(",\"sigma\":");
@@ -1091,49 +910,40 @@ pub(crate) fn encode_report_payload(key: u64, report: ReportParts<'_>) -> String
         w.raw(",\"rho\":");
         w.expr(&r.rho);
         w.raw(",\"x0\":");
-        match &r.x0 {
-            Some(x0) => w.expr(x0),
-            None => w.raw("null"),
-        }
-        w.raw(",\"exps\":[");
-        for (j, (var, e)) in r.tile_exponents.iter().enumerate() {
-            w.comma(j);
+        w.opt_expr(r.x0.as_ref());
+        w.raw(",\"exps\":");
+        w.seq(&r.tile_exponents, |w, (var, e)| {
             w.raw("[");
             w.str(var);
             w.raw(",");
             w.rational_pair(*e);
             w.raw("]");
-        }
-        w.raw("],\"coeffs\":[");
-        for (j, (var, c)) in r.tile_coeffs.iter().enumerate() {
-            w.comma(j);
+        });
+        w.raw(",\"coeffs\":");
+        w.seq(&r.tile_coeffs, |w, (var, c)| {
             w.raw("[");
             w.str(var);
             w.raw(",");
             w.u64(c.to_bits());
             w.raw("]");
-        }
-        w.raw("]},\"rho_ref\":");
+        });
+        w.raw("},\"rho_ref\":");
         w.u64(s.rho_ref.to_bits());
         w.raw("}");
-    }
-    w.raw("],\"bound\":");
+    });
+    w.raw(",\"bound\":");
     w.expr(report.bound);
     w.raw(",\"notes\":");
-    w.str_list(report.notes);
+    w.seq(report.notes, |w, s| w.str(s));
     w.raw("}}");
-    // lint:allow(unwrap-expect): every byte written is ASCII or comes whole from a `&str`
-    String::from_utf8(w.0).expect("report payloads are UTF-8")
+    w.into_string()
 }
 
 /// Decode a report record's payload text; `None` on a parse or shape
 /// failure.  The digest is not checked here: a held payload was checked when
 /// it was hydrated, or encoded by this process.
 pub(crate) fn decode_report_payload(payload: &str) -> Option<ReportEntry> {
-    let r = &mut JsonIn {
-        text: payload,
-        pos: 0,
-    };
+    let r = &mut JsonIn::new(payload);
     r.lit("{\"key\":")?;
     let key = r.u64()?;
     r.lit(",\"report\":{\"per_array\":")?;
@@ -1173,11 +983,7 @@ pub(crate) fn decode_report_payload(payload: &str) -> Option<ReportEntry> {
         r.lit(",\"rho\":")?;
         let rho = r.expr()?;
         r.lit(",\"x0\":")?;
-        let x0 = if r.lit("null").is_some() {
-            None
-        } else {
-            Some(r.expr()?)
-        };
+        let x0 = r.opt_expr()?;
         r.lit(",\"exps\":")?;
         let tile_exponents = r.list(|r| r.pair(JsonIn::rational_pair))?;
         r.lit(",\"coeffs\":")?;
@@ -1205,9 +1011,7 @@ pub(crate) fn decode_report_payload(payload: &str) -> Option<ReportEntry> {
     r.lit(",\"notes\":")?;
     let notes = r.list(JsonIn::string)?;
     r.lit("}}")?;
-    if r.pos != payload.len() {
-        return None;
-    }
+    r.end()?;
     let report = StoredReport {
         per_array,
         subgraphs,
@@ -1221,10 +1025,7 @@ pub(crate) fn decode_report_payload(payload: &str) -> Option<ReportEntry> {
 /// `{"key":N,` prefix of its payload after the digest check, without parsing
 /// the rest.  `None` on a digest failure or a malformed prefix.
 fn report_line_key(line: &str) -> Option<u64> {
-    let r = &mut JsonIn {
-        text: checked_json(line)?,
-        pos: 0,
-    };
+    let r = &mut JsonIn::new(checked_json(line)?);
     r.lit("{\"key\":")?;
     let key = r.u64()?;
     r.lit(",")?;
@@ -1242,7 +1043,7 @@ fn digit_pair(n: usize) -> &'static [u8] {
 }
 
 /// JSON text under construction, appended byte by byte with no `Value`
-/// tree: the same bytes `serde_json` prints for the equivalent tree.
+/// tree: the same bytes the JSON stand-in prints for the equivalent tree.
 struct JsonOut(Vec<u8>);
 
 impl JsonOut {
@@ -1250,11 +1051,21 @@ impl JsonOut {
         self.0.extend_from_slice(s.as_bytes());
     }
 
-    /// The `,` before every item of a sequence but the first.
-    fn comma(&mut self, index: usize) {
-        if index > 0 {
-            self.0.push(b',');
+    /// `items` as a JSON array, each written by `item`.
+    fn seq<I: IntoIterator>(&mut self, items: I, mut item: impl FnMut(&mut Self, I::Item)) {
+        self.0.push(b'[');
+        for (i, x) in items.into_iter().enumerate() {
+            if i > 0 {
+                self.0.push(b',');
+            }
+            item(self, x);
         }
+        self.0.push(b']');
+    }
+
+    fn into_string(self) -> String {
+        // lint:allow(unwrap-expect): every byte written is ASCII or comes whole from a `&str`
+        String::from_utf8(self.0).expect("record payloads are UTF-8")
     }
 
     /// `n` in decimal.  Four digits per division: raw `f64` bit patterns
@@ -1307,7 +1118,7 @@ impl JsonOut {
         }
     }
 
-    /// `s` as a JSON string, escaped exactly as `serde_json` escapes it.
+    /// `s` as a JSON string, escaped exactly as the JSON stand-in escapes it.
     fn str(&mut self, s: &str) {
         const HEX: &[u8; 16] = b"0123456789abcdef";
         let bytes = s.as_bytes();
@@ -1340,15 +1151,6 @@ impl JsonOut {
         self.0.push(b'"');
     }
 
-    fn str_list(&mut self, items: &[String]) {
-        self.raw("[");
-        for (i, item) in items.iter().enumerate() {
-            self.comma(i);
-            self.str(item);
-        }
-        self.raw("]");
-    }
-
     /// A rational as the store's `[num, den]` pair.
     fn rational_pair(&mut self, r: Rational) {
         self.raw("[");
@@ -1356,6 +1158,17 @@ impl JsonOut {
         self.raw(",");
         self.i128(r.denom());
         self.raw("]");
+    }
+
+    /// Canonical matrix rows, each as `[[e_1,…,e_n],[num,den]]`.
+    fn rows(&mut self, rows: &[CanonicalRow]) {
+        self.seq(rows, |w, (exps, coeff)| {
+            w.raw("[");
+            w.seq(exps, |w, e| w.i128(i128::from(*e)));
+            w.raw(",");
+            w.rational_pair(*coeff);
+            w.raw("]");
+        });
     }
 
     /// A rational in its serde wire format, `{"num":n,"den":d}`.
@@ -1391,17 +1204,22 @@ impl JsonOut {
                 self.raw("]}");
                 return;
             }
-            Expr::Add(items) => ("{\"Add\":[", items),
-            Expr::Mul(items) => ("{\"Mul\":[", items),
-            Expr::Max(items) => ("{\"Max\":[", items),
-            Expr::Min(items) => ("{\"Min\":[", items),
+            Expr::Add(items) => ("{\"Add\":", items),
+            Expr::Mul(items) => ("{\"Mul\":", items),
+            Expr::Max(items) => ("{\"Max\":", items),
+            Expr::Min(items) => ("{\"Min\":", items),
         };
         self.raw(tag);
-        for (i, item) in items.iter().enumerate() {
-            self.comma(i);
-            self.expr(item);
+        self.seq(items, |w, item| w.expr(item));
+        self.raw("}");
+    }
+
+    /// An optional `Expr`: the expression, or `null`.
+    fn opt_expr(&mut self, e: Option<&Expr>) {
+        match e {
+            Some(e) => self.expr(e),
+            None => self.raw("null"),
         }
-        self.raw("]}");
     }
 
     /// An exact-coefficient polynomial as
@@ -1409,37 +1227,44 @@ impl JsonOut {
     /// BTreeMap-ordered, so encoding is deterministic and the rebuilt value
     /// renders byte-identically.
     fn poly(&mut self, p: &Polynomial) {
-        self.raw("[");
-        for (i, (mono, coeff)) in p.terms().enumerate() {
-            self.comma(i);
-            self.raw("[[");
-            for (j, (var, pow)) in mono.0.iter().enumerate() {
-                self.comma(j);
-                self.raw("[");
-                self.str(var);
-                self.raw(",");
-                self.u64(u64::from(*pow));
-                self.raw("]");
-            }
-            self.raw("],");
-            self.rational_pair(*coeff);
-            self.raw("]");
-        }
-        self.raw("]");
+        self.seq(p.terms(), |w, (mono, coeff)| {
+            w.raw("[");
+            w.seq(&mono.0, |w, (var, pow)| {
+                w.raw("[");
+                w.str(var);
+                w.raw(",");
+                w.u64(u64::from(*pow));
+                w.raw("]");
+            });
+            w.raw(",");
+            w.rational_pair(*coeff);
+            w.raw("]");
+        });
     }
 }
 
-/// A cursor over a report payload in the layout [`JsonOut`] writes —
-/// compact JSON, fields in the writer's order — reading it straight into
-/// the report's types with no `Value` tree.  It decodes strings, integers
-/// and rationals as the `serde_json` stand-in and the `Value` decoders do;
-/// anything outside that layout fails, and the replay answers it as a miss.
+/// A cursor over a record payload of either family in the layout
+/// [`JsonOut`] writes — compact JSON, fields in the writer's order — reading
+/// it straight into the record's types with no `Value` tree.  It decodes
+/// strings, integers and rationals as the JSON stand-in and the serde
+/// `Deserialize` impls do; anything outside that layout fails, and the
+/// record is skipped (a solve line at hydration) or answered as a miss (a
+/// report payload at replay).
 struct JsonIn<'a> {
     text: &'a str,
     pos: usize,
 }
 
-impl JsonIn<'_> {
+impl<'a> JsonIn<'a> {
+    fn new(text: &'a str) -> Self {
+        JsonIn { text, pos: 0 }
+    }
+
+    /// `Some` when the whole input has been read.
+    fn end(&self) -> Option<()> {
+        (self.pos == self.text.len()).then_some(())
+    }
+
     /// Consume `s` if the input continues with it.
     fn lit(&mut self, s: &str) -> Option<()> {
         let rest = self.text.get(self.pos..)?;
@@ -1554,7 +1379,7 @@ impl JsonIn<'_> {
         self.lit(",")?;
         let den = self.i128()?;
         self.lit("]")?;
-        (den != 0).then(|| Rational::new(num, den))
+        rational(num, den)
     }
 
     /// A rational in its serde wire format, `{"num":n,"den":d}`.
@@ -1564,7 +1389,26 @@ impl JsonIn<'_> {
         self.lit(",\"den\":")?;
         let den = self.i128()?;
         self.lit("}")?;
-        (den != 0).then(|| Rational::new(num, den))
+        rational(num, den)
+    }
+
+    /// One exponent vector of a canonical matrix, which must have `n`
+    /// entries.
+    fn exponents(&mut self, n: usize) -> Option<Vec<i16>> {
+        let exps = self.list(|r| i16::try_from(r.i128()?).ok())?;
+        (exps.len() == n).then_some(exps)
+    }
+
+    /// Canonical matrix rows (see [`JsonOut::rows`]) over `n` variables.
+    fn rows(&mut self, n: usize) -> Option<Vec<CanonicalRow>> {
+        self.list(|r| {
+            r.lit("[")?;
+            let exps = r.exponents(n)?;
+            r.lit(",")?;
+            let coeff = r.rational_pair()?;
+            r.lit("]")?;
+            Some((exps, coeff))
+        })
     }
 
     /// An `Expr` in its serde wire format, rebuilt as `Expr::from_value`
@@ -1596,6 +1440,15 @@ impl JsonIn<'_> {
         Some(e)
     }
 
+    /// An optional `Expr` (see [`JsonOut::opt_expr`]).
+    fn opt_expr(&mut self) -> Option<Option<Expr>> {
+        if self.lit("null").is_some() {
+            Some(None)
+        } else {
+            self.expr().map(Some)
+        }
+    }
+
     /// An exact-coefficient polynomial (see [`JsonOut::poly`]).
     fn poly(&mut self) -> Option<Polynomial> {
         let terms = self.list(|r| {
@@ -1618,9 +1471,25 @@ impl JsonIn<'_> {
     }
 }
 
+/// `num/den` in lowest terms.  `None` for a zero denominator, and for
+/// `i128::MIN` in either place, which `Rational::new` cannot normalize
+/// without overflow: a hand-edited line must be skipped, not panic the
+/// loading thread.
+fn rational(num: i128, den: i128) -> Option<Rational> {
+    (den != 0 && num != i128::MIN && den != i128::MIN).then(|| Rational::new(num, den))
+}
+
 #[cfg(test)]
 #[path = "../tests/common/report_oracle.rs"]
 mod report_oracle;
+
+#[cfg(test)]
+#[path = "../tests/common/solve_oracle.rs"]
+mod solve_oracle;
+
+#[cfg(test)]
+#[path = "../tests/common/random_programs.rs"]
+mod random_programs;
 
 #[cfg(test)]
 mod tests {
@@ -2046,6 +1915,295 @@ mod tests {
         assert_eq!((stats.segments, stats.records, stats.entries), (2, 2, 1));
         assert_eq!(store.clear().unwrap(), 2);
         assert!(store.segment_files().unwrap().is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A solve outcome as bit-exact text: floats as raw bits, `Expr`s as
+    /// their variant trees.
+    fn solution_text(sol: &Result<CanonicalSolution, AnalysisError>) -> String {
+        match sol {
+            Ok(s) => format!(
+                "sigma={:?} chi={:016x} rho={:?} x0={:?} exps={:?} coeffs={:x?}",
+                s.sigma,
+                s.chi_coeff.to_bits(),
+                s.rho,
+                s.x0,
+                s.tile_exponents,
+                s.tile_coeffs
+                    .iter()
+                    .map(|c| c.to_bits())
+                    .collect::<Vec<_>>()
+            ),
+            Err(e) => format!("{e:?}"),
+        }
+    }
+
+    /// The direct writer prints the oracle's line for `(key, sol)`, and the
+    /// direct reader gets back from it exactly what the oracle's reader does.
+    fn assert_codec_matches_oracle(
+        key: &CanonicalKey,
+        sol: &Result<CanonicalSolution, AnalysisError>,
+    ) {
+        let line = encode_record(key, sol);
+        assert_eq!(line, solve_oracle::encode_record(key, sol));
+        let (oracle_key, oracle_sol) = solve_oracle::decode_record(&line).expect("oracle decodes");
+        let (back_key, back_sol) = decode_record(&line).expect("decodes");
+        assert_eq!(back_key, oracle_key);
+        assert_eq!(back_key, *key);
+        assert_eq!(solution_text(&back_sol), solution_text(&oracle_sol));
+        assert_eq!(solution_text(&back_sol), solution_text(sol));
+    }
+
+    /// The record lines of every solve segment under `dir`.
+    fn solve_lines(dir: &Path) -> Vec<String> {
+        let store = SolveStore::open_existing(dir).unwrap();
+        let mut lines = Vec::new();
+        for path in store.segment_files().unwrap() {
+            let text = std::fs::read_to_string(path).unwrap();
+            lines.extend(text.lines().skip(1).map(str::to_string));
+        }
+        lines
+    }
+
+    #[test]
+    fn solve_records_of_the_registry_and_random_programs_match_the_oracle() {
+        let dir = std::env::temp_dir().join(format!("soap-store-oracle-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let cache = crate::SolveCache::with_store(&dir).unwrap();
+            let registry = soap_kernels::registry().into_iter().map(|entry| {
+                let opts = crate::SdgOptions {
+                    assume_injective: entry.assume_injective,
+                    ..crate::SdgOptions::default()
+                };
+                (entry.program, opts)
+            });
+            let random = random_programs::seeded_random_programs()
+                .into_iter()
+                .map(|program| (program, crate::SdgOptions::default()));
+            for (program, opts) in registry.chain(random) {
+                let _ = crate::analyze_program(&program, &opts, &cache, None);
+            }
+            cache.flush_store().unwrap();
+        }
+        let lines = solve_lines(&dir);
+        // The registry alone persists 163 structures; the random programs
+        // add more.
+        assert!(lines.len() > 163, "only {} solve records", lines.len());
+        let mut max_form = 0;
+        for line in &lines {
+            let (key, sol) = solve_oracle::decode_record(line).expect("oracle decodes");
+            assert_eq!(&solve_oracle::encode_record(&key, &sol), line);
+            assert_codec_matches_oracle(&key, &sol);
+            max_form += usize::from(key.is_max_form());
+        }
+        assert!(max_form > 0, "no max-form key among the records");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A key with every shape the writer prints: extreme exponents and
+    /// rationals in the objective, a max-form dominator with `min` and `max`
+    /// atoms, a term naming no atom and a term naming two.
+    fn extreme_key() -> CanonicalKey {
+        let extremes = [
+            Rational::new(i128::MAX, 1),
+            Rational::new(i128::MIN + 1, 1),
+            Rational::new(1, i128::MAX),
+            Rational::new(i128::MIN + 1, i128::MAX),
+            Rational::new(-7, 3),
+        ];
+        let objective = extremes
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| (vec![i16::MIN, i16::MAX, i as i16 - 2], c))
+            .collect();
+        let row = |e: i16, c: Rational| vec![(vec![e, 1, 0], c)];
+        CanonicalKey {
+            n_vars: 3,
+            objective,
+            dominator: CanonicalDominator::Max {
+                terms: vec![
+                    (vec![0, 0, 0], extremes[0], vec![]),
+                    (vec![i16::MIN, 1, i16::MAX], extremes[3], vec![0, 1]),
+                ],
+                atoms: vec![
+                    CanonicalAtom {
+                        is_min: true,
+                        branches: vec![row(1, extremes[1]), row(i16::MAX, extremes[2])],
+                    },
+                    CanonicalAtom {
+                        is_min: false,
+                        branches: vec![row(i16::MIN, extremes[4]), vec![]],
+                    },
+                ],
+            },
+        }
+    }
+
+    #[test]
+    fn solve_codec_matches_the_oracle_on_adversarial_records() {
+        let floats = [
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff8_0000_dead_beef),
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(1),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+        ];
+        let controls: String = (0u8..0x20).map(char::from).chain(['\u{7f}']).collect();
+        let nasty = format!("q\"uote\\back/slash {controls} ünï 日本 🦀 \u{2028}");
+        let nasty_expr = Expr::Add(vec![
+            Expr::Num(Rational::new(i128::MAX, 3)),
+            Expr::Mul(vec![Expr::sym(&nasty), Expr::int(-3)]),
+            Expr::Pow(Box::new(Expr::sym("S")), Rational::new(-7, 9)),
+            Expr::Max(vec![
+                Expr::sym("a"),
+                Expr::Min(vec![Expr::sym("b"), Expr::int(2)]),
+            ]),
+        ]);
+        let keys = [sample_key(false), sample_key(true), extreme_key()];
+        let mut solutions = Vec::new();
+        for (i, &x) in floats.iter().enumerate() {
+            let mut s = sample_solution();
+            s.chi_coeff = x;
+            s.tile_coeffs = vec![x, -x, floats[(i + 1) % floats.len()]];
+            s.tile_exponents = vec![
+                Rational::new(i128::MAX, 1),
+                Rational::new(i128::MIN + 1, i128::MAX),
+                Rational::new(-1, 2),
+            ];
+            s.sigma = [Rational::new(i128::MAX, 2), Rational::new(i128::MIN + 1, 7)][i % 2];
+            s.rho = nasty_expr.clone();
+            s.x0 = (i % 2 == 0).then(|| nasty_expr.clone());
+            solutions.push(Ok(s));
+        }
+        let mut empty = sample_solution();
+        empty.tile_exponents.clear();
+        empty.tile_coeffs.clear();
+        solutions.push(Ok(empty));
+        for message in [nasty.clone(), String::new(), controls.clone()] {
+            solutions.extend([
+                Err(AnalysisError::InvalidStatement(message.clone())),
+                Err(AnalysisError::NoInputs(message.clone())),
+                Err(AnalysisError::NumericalFailure(message.clone())),
+                Err(AnalysisError::Internal(message.clone())),
+                Err(AnalysisError::Cancelled(message)),
+            ]);
+        }
+        for key in &keys {
+            for sol in &solutions {
+                assert_codec_matches_oracle(key, sol);
+            }
+        }
+    }
+
+    #[test]
+    fn solve_reader_rejects_truncations_and_bad_shapes() {
+        let line = encode_record(&extreme_key(), &Ok(sample_solution()));
+        let payload = &line[DIGEST_PREFIX..];
+        // Every truncated payload fails the parse even behind a valid digest.
+        for cut in (0..payload.len()).filter(|&c| payload.is_char_boundary(c)) {
+            assert!(
+                decode_record(&record_line(&payload[..cut])).is_none(),
+                "cut at {cut}"
+            );
+        }
+        assert!(decode_record(&record_line(&format!("{payload} "))).is_none());
+        let err_line = encode_record(
+            &sample_key(false),
+            &Err(AnalysisError::NoInputs("no \"inputs\"".into())),
+        );
+        let err_payload = &err_line[DIGEST_PREFIX..];
+        for cut in (0..err_payload.len()).filter(|&c| err_payload.is_char_boundary(c)) {
+            assert!(
+                decode_record(&record_line(&err_payload[..cut])).is_none(),
+                "cut at {cut}"
+            );
+        }
+        let sol = r#""sol":{"Err":{"NoInputs":"x"}}}"#;
+        let shaped = |key: &str| record_line(&format!("{{\"key\":{key},{sol}"));
+        // The well-formed baseline decodes with both codecs.
+        let good = shaped(
+            r#"{"n":2,"obj":[[[1,1],[1,1]]],"dom":{"Max":{"terms":[[[0,1],[1,1],[0]]],"atoms":[{"min":false,"branches":[[[[1,0],[1,1]]]]}]}}}"#,
+        );
+        assert!(decode_record(&good).is_some());
+        assert!(solve_oracle::decode_record(&good).is_some());
+        for bad in [
+            // An objective row, a dominator row, a term, an atom branch row
+            // whose length is not `n`.
+            r#"{"n":3,"obj":[[[1,1],[1,1]]],"dom":{"Pure":[[[1,1,1],[1,1]]]}}"#,
+            r#"{"n":2,"obj":[[[1,1],[1,1]]],"dom":{"Pure":[[[1],[1,1]]]}}"#,
+            r#"{"n":2,"obj":[[[1,1],[1,1]]],"dom":{"Max":{"terms":[[[0],[1,1],[0]]],"atoms":[{"min":false,"branches":[[[[1,0],[1,1]]]]}]}}}"#,
+            r#"{"n":2,"obj":[[[1,1],[1,1]]],"dom":{"Max":{"terms":[[[0,1],[1,1],[0]]],"atoms":[{"min":false,"branches":[[[[1,0,0],[1,1]]]]}]}}}"#,
+            // A term naming an atom that does not exist.
+            r#"{"n":2,"obj":[[[1,1],[1,1]]],"dom":{"Max":{"terms":[[[0,1],[1,1],[1]]],"atoms":[{"min":false,"branches":[[[[1,0],[1,1]]]]}]}}}"#,
+            // An exponent outside `i16`, a zero denominator, and `i128::MIN`,
+            // which `Rational::new` cannot normalize.
+            r#"{"n":1,"obj":[[[32768],[1,1]]],"dom":{"Pure":[[[1],[1,1]]]}}"#,
+            r#"{"n":1,"obj":[[[1],[1,0]]],"dom":{"Pure":[[[1],[1,1]]]}}"#,
+            r#"{"n":1,"obj":[[[1],[-170141183460469231731687303715884105728,1]]],"dom":{"Pure":[[[1],[1,1]]]}}"#,
+        ] {
+            assert!(decode_record(&shaped(bad)).is_none(), "{bad}");
+        }
+        // An unknown error variant, and tile vectors of different lengths.
+        let key = r#"{"key":{"n":1,"obj":[[[1],[1,1]]],"dom":{"Pure":[[[1],[1,1]]]}},"sol":"#;
+        for bad_sol in [
+            r#"{"Err":{"Timeout":"x"}}}"#,
+            r#"{"Ok":{"sigma":[1,1],"chi":0,"rho":{"Sym":"S"},"x0":null,"exps":[[1,1]],"coeffs":[]}}}"#,
+        ] {
+            let line = record_line(&format!("{key}{bad_sol}"));
+            assert!(decode_record(&line).is_none(), "{bad_sol}");
+            assert!(solve_oracle::decode_record(&line).is_none(), "{bad_sol}");
+        }
+    }
+
+    /// Solve records written by an earlier build of the store: `Pure` and
+    /// `Max` keys with `x0` present and absent, and a `NoInputs` failure.
+    const EARLIER_SEGMENT: &str = include_str!("../tests/fixtures/parent-solve-segment.soapstore");
+
+    #[test]
+    fn solve_records_of_an_earlier_build_hydrate_and_re_encode_identically() {
+        let dir = std::env::temp_dir().join(format!("soap-store-earlier-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join("seg-00000000000000000000-0-0000.soapstore"),
+            EARLIER_SEGMENT,
+        )
+        .unwrap();
+        let (entries, stats) = SolveStore::open(&dir).unwrap().load().unwrap();
+        let lines: Vec<&str> = EARLIER_SEGMENT.lines().skip(1).collect();
+        assert_eq!(
+            (
+                stats.segments,
+                stats.segments_rejected,
+                stats.records,
+                stats.records_skipped
+            ),
+            (1, 0, lines.len(), 0)
+        );
+        assert_eq!(entries.len(), lines.len());
+        let (mut pure, mut max, mut err, mut x0, mut no_x0) = (0, 0, 0, 0, 0);
+        for line in lines {
+            let (key, sol) = decode_record(line).expect("decodes");
+            assert_eq!(encode_record(&key, &sol), line);
+            assert_eq!(solution_text(&entries[&key]), solution_text(&sol));
+            if key.is_max_form() {
+                max += 1;
+            } else {
+                pure += 1;
+            }
+            match &sol {
+                Ok(s) if s.x0.is_some() => x0 += 1,
+                Ok(_) => no_x0 += 1,
+                Err(_) => err += 1,
+            }
+        }
+        assert!(pure > 0 && max > 0 && err > 0 && x0 > 0 && no_x0 > 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -11,8 +11,11 @@
 //! solve must not leak into any output.
 
 use soap_sdg::{analyze_program, analyze_suite, SdgOptions, SolveCache, SuiteProgram};
-use std::fmt::Write as _;
 use std::time::Duration;
+
+#[path = "common/dump.rs"]
+mod dump;
+use dump::dump;
 
 /// The Table-2 analysis options of a registry entry.
 fn jobs() -> Vec<SuiteProgram> {
@@ -28,46 +31,6 @@ fn jobs() -> Vec<SuiteProgram> {
             )
         })
         .collect()
-}
-
-/// Exhaustive bit-exact dump of one analysis (everything except the solver
-/// accounting, which legitimately differs between shared and private caches).
-fn dump(analysis: &soap_sdg::ProgramAnalysis) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "program {}", analysis.name);
-    let _ = writeln!(out, "bound {}", analysis.bound);
-    let _ = writeln!(
-        out,
-        "degraded {} deferred {}",
-        analysis.degraded, analysis.arrays_deferred
-    );
-    for a in &analysis.per_array {
-        let _ = writeln!(
-            out,
-            "array {} |A|={} rho={} sigma={:?} via={:?} bound={}",
-            a.array, a.vertex_count, a.rho, a.sigma, a.best_subgraph, a.bound
-        );
-    }
-    for s in &analysis.subgraphs {
-        let i = &s.intensity;
-        let _ = writeln!(
-            out,
-            "subgraph {:?} sigma={:?} chi_coeff={:016x} rho={} x0={:?} rho_ref={:016x}",
-            s.arrays,
-            i.sigma,
-            i.chi_coeff.to_bits(),
-            i.rho,
-            i.x0.as_ref().map(|e| format!("{e}")),
-            s.rho_ref.to_bits(),
-        );
-        for ((name, e), (_, c)) in i.tile_exponents.iter().zip(&i.tile_coeffs) {
-            let _ = writeln!(out, "  tile {name} exp={e:?} coeff={:016x}", c.to_bits());
-        }
-    }
-    for n in &analysis.notes {
-        let _ = writeln!(out, "note {n}");
-    }
-    out
 }
 
 #[test]

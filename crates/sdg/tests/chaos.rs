@@ -22,8 +22,11 @@ use soap_sdg::{
     SolveStore, SuiteProgram, DEFAULT_CACHE_SHARDS,
 };
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+
+#[path = "common/dump.rs"]
+mod dump;
+use dump::dump;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("soap-chaos-test-{tag}-{}", std::process::id()));
@@ -45,42 +48,6 @@ fn jobs() -> Vec<SuiteProgram> {
             )
         })
         .collect()
-}
-
-/// Bit-exact dump of everything in one analysis except timings and cache
-/// accounting (which measure the run, not the input).
-fn dump(analysis: &soap_sdg::ProgramAnalysis) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "program {}", analysis.name);
-    let _ = writeln!(
-        out,
-        "degraded {} deferred {}",
-        analysis.degraded, analysis.arrays_deferred
-    );
-    let _ = writeln!(out, "bound {}", analysis.bound);
-    for a in &analysis.per_array {
-        let _ = writeln!(
-            out,
-            "array {} |A|={} rho={} sigma={:?} via={:?} bound={}",
-            a.array, a.vertex_count, a.rho, a.sigma, a.best_subgraph, a.bound
-        );
-    }
-    for s in &analysis.subgraphs {
-        let i = &s.intensity;
-        let _ = writeln!(
-            out,
-            "subgraph {:?} sigma={:?} chi_coeff={:016x} rho={} rho_ref={:016x}",
-            s.arrays,
-            i.sigma,
-            i.chi_coeff.to_bits(),
-            i.rho,
-            s.rho_ref.to_bits(),
-        );
-    }
-    for n in &analysis.notes {
-        let _ = writeln!(out, "note {n}");
-    }
-    out
 }
 
 /// Per-program accounting must reconcile: every enumerated subgraph is

@@ -14,7 +14,19 @@ use soap_sdg::{
     SdgOptions, SolveCache, SuiteProgram, DEFAULT_CACHE_SHARDS,
 };
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+
+#[path = "common/dump.rs"]
+mod dump;
+
+/// The shared dump plus the run's degraded-mode solver counters.
+fn dump(analysis: &soap_sdg::ProgramAnalysis) -> String {
+    format!(
+        "{}cancelled {} enumerated {}\n",
+        dump::dump(analysis),
+        analysis.solver.cancelled,
+        analysis.solver.subgraphs_enumerated
+    )
+}
 
 /// Run `f` with the worker budget forced to `n`, restoring the previous one.
 fn with_budget<R>(n: usize, f: impl FnOnce() -> R) -> R {
@@ -43,44 +55,6 @@ fn jobs() -> Vec<SuiteProgram> {
             )
         })
         .collect()
-}
-
-/// Bit-exact dump of one analysis, including the degraded-mode accounting.
-fn dump(analysis: &soap_sdg::ProgramAnalysis) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "program {} degraded {} deferred {} cancelled {} enumerated {}",
-        analysis.name,
-        analysis.degraded,
-        analysis.arrays_deferred,
-        analysis.solver.cancelled,
-        analysis.solver.subgraphs_enumerated,
-    );
-    let _ = writeln!(out, "bound {}", analysis.bound);
-    for a in &analysis.per_array {
-        let _ = writeln!(
-            out,
-            "array {} |A|={} rho={} sigma={:?} via={:?} bound={}",
-            a.array, a.vertex_count, a.rho, a.sigma, a.best_subgraph, a.bound
-        );
-    }
-    for s in &analysis.subgraphs {
-        let i = &s.intensity;
-        let _ = writeln!(
-            out,
-            "subgraph {:?} sigma={:?} chi_coeff={:016x} rho={} rho_ref={:016x}",
-            s.arrays,
-            i.sigma,
-            i.chi_coeff.to_bits(),
-            i.rho,
-            s.rho_ref.to_bits(),
-        );
-    }
-    for n in &analysis.notes {
-        let _ = writeln!(out, "note {n}");
-    }
-    out
 }
 
 /// Numeric value of a program's bound: every parameter at 1000, fast memory

@@ -12,12 +12,15 @@
 use soap_ir::{Program, ProgramBuilder};
 use soap_sdg::subgraphs::enumerate_connected_subgraphs;
 use soap_sdg::{analyze_suite, set_worker_budget, Sdg, SdgOptions, SolveCache, SuiteProgram};
-use std::fmt::Write as _;
 use std::sync::Mutex;
 
 #[path = "common/naive.rs"]
 mod naive;
 use naive::enumerate_connected_subgraphs_naive;
+
+#[path = "common/dump.rs"]
+mod dump;
+use dump::dump;
 
 /// Serializes the tests that mutate the process-wide worker budget (tests of
 /// one binary run on concurrent threads).
@@ -45,41 +48,6 @@ fn jobs() -> Vec<SuiteProgram> {
             )
         })
         .collect()
-}
-
-/// Exhaustive bit-exact dump of one analysis — everything except timings
-/// (`phases`) and the cache accounting, which measure the run, not the input.
-fn dump(analysis: &soap_sdg::ProgramAnalysis) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "program {}", analysis.name);
-    let _ = writeln!(out, "bound {}", analysis.bound);
-    for a in &analysis.per_array {
-        let _ = writeln!(
-            out,
-            "array {} |A|={} rho={} sigma={:?} via={:?} bound={}",
-            a.array, a.vertex_count, a.rho, a.sigma, a.best_subgraph, a.bound
-        );
-    }
-    for s in &analysis.subgraphs {
-        let i = &s.intensity;
-        let _ = writeln!(
-            out,
-            "subgraph {:?} sigma={:?} chi_coeff={:016x} rho={} x0={:?} rho_ref={:016x}",
-            s.arrays,
-            i.sigma,
-            i.chi_coeff.to_bits(),
-            i.rho,
-            i.x0.as_ref().map(|e| format!("{e}")),
-            s.rho_ref.to_bits(),
-        );
-        for ((name, e), (_, c)) in i.tile_exponents.iter().zip(&i.tile_coeffs) {
-            let _ = writeln!(out, "  tile {name} exp={e:?} coeff={:016x}", c.to_bits());
-        }
-    }
-    for n in &analysis.notes {
-        let _ = writeln!(out, "note {n}");
-    }
-    out
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! as a miss and healed by the next flush.
 
 use soap_core::IntensityResult;
-use soap_ir::{Program, ProgramBuilder};
+use soap_ir::Program;
 use soap_kernels::registry;
 use soap_sdg::analysis::SubgraphIntensity;
 use soap_sdg::{
@@ -17,6 +17,14 @@ use std::path::{Path, PathBuf};
 #[path = "common/report_oracle.rs"]
 mod report_oracle;
 use report_oracle::{fnv1a64, oracle_report_line};
+
+#[path = "common/random_programs.rs"]
+mod random_programs;
+use random_programs::seeded_random_programs;
+
+#[path = "common/dump.rs"]
+mod dump;
+use dump::dump;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("soap-report-test-{tag}-{}", std::process::id()));
@@ -40,71 +48,6 @@ fn report_lines(dir: &Path) -> Vec<String> {
     lines
 }
 
-/// Deterministic xorshift64* generator.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
-/// A small random program: 1–3 statements over 2–3 loops, reading fresh
-/// inputs and earlier outputs.  `None` when the drawn shape does not
-/// validate.
-fn random_program(rng: &mut Rng, case: usize) -> Option<Program> {
-    const VARS: [&str; 3] = ["i", "j", "k"];
-    const PARAMS: [&str; 2] = ["N", "M"];
-    let mut builder = ProgramBuilder::new(format!("rand{case}"));
-    // Arrays written so far, with their arity.
-    let mut produced: Vec<(String, usize)> = Vec::new();
-    for s in 0..1 + rng.below(3) {
-        let depth = 2 + rng.below(2);
-        let loops: Vec<(&str, &str, &str)> = VARS[..depth]
-            .iter()
-            .map(|v| (*v, "0", PARAMS[rng.below(PARAMS.len())]))
-            .collect();
-        let output = format!("W{s}");
-        let out_arity = 1 + rng.below(depth);
-        let out_ix = VARS[..out_arity].join(",");
-        let reads: Vec<(String, String)> = (0..1 + rng.below(2))
-            .map(|r| {
-                let (name, arity) = if !produced.is_empty() && rng.below(2) == 0 {
-                    produced[rng.below(produced.len())].clone()
-                } else {
-                    (format!("R{s}x{r}"), 1 + rng.below(2))
-                };
-                let ix: Vec<&str> = (0..arity).map(|_| VARS[rng.below(depth)]).collect();
-                (name, ix.join(","))
-            })
-            .collect();
-        let update = rng.below(2) == 0;
-        builder = builder.statement(|st| {
-            let st = st.loops(&loops);
-            let mut st = if update {
-                st.update(&output, &out_ix)
-            } else {
-                st.write(&output, &out_ix)
-            };
-            for (name, ix) in &reads {
-                st = st.read(name, ix);
-            }
-            st
-        });
-        produced.push((output, out_arity));
-    }
-    builder.build().ok()
-}
-
 /// The 38 registry programs with their Table-2 options, then a seeded set of
 /// random programs under the default options.
 fn programs() -> Vec<(Program, SdgOptions)> {
@@ -119,28 +62,12 @@ fn programs() -> Vec<(Program, SdgOptions)> {
         })
         .collect();
     assert_eq!(jobs.len(), 38);
-    let mut rng = Rng(0x5eed_2e90_2026_1019);
-    for case in 0..60 {
-        if let Some(program) = random_program(&mut rng, case) {
-            jobs.push((program, SdgOptions::default()));
-        }
-    }
+    jobs.extend(
+        seeded_random_programs()
+            .into_iter()
+            .map(|program| (program, SdgOptions::default())),
+    );
     jobs
-}
-
-/// Every result field of an analysis that a report replays.
-fn dump(a: &ProgramAnalysis) -> String {
-    format!(
-        "{:?}",
-        (
-            &a.per_array,
-            &a.subgraphs,
-            &a.bound,
-            &a.notes,
-            a.degraded,
-            a.arrays_deferred
-        )
-    )
 }
 
 /// The oracle line of a finished analysis.

@@ -7,12 +7,15 @@
 
 use soap_kernels::registry;
 use soap_sdg::{
-    analyze_program, analyze_suite, set_worker_budget, ProgramAnalysis, SdgOptions, SolveCache,
-    SolveStore, StoreLoadStats, SuiteProgram, STORE_HEADER,
+    analyze_program, analyze_suite, set_worker_budget, SdgOptions, SolveCache, SolveStore,
+    StoreLoadStats, SuiteProgram, STORE_HEADER,
 };
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+
+#[path = "common/dump.rs"]
+mod dump;
+use dump::dump;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("soap-store-test-{tag}-{}", std::process::id()));
@@ -364,43 +367,6 @@ fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
             (name, std::fs::read(&path).unwrap())
         })
         .collect()
-}
-
-/// Bit-exact dump of every result field of one analysis, without the run's
-/// timings and cache accounting.
-fn dump(a: &ProgramAnalysis) -> String {
-    let mut out = format!(
-        "program {} bound {} degraded {} deferred {}\n",
-        a.name, a.bound, a.degraded, a.arrays_deferred
-    );
-    for b in &a.per_array {
-        let _ = writeln!(
-            out,
-            "array {} |A|={} rho={} sigma={:?} via={:?} bound={}",
-            b.array, b.vertex_count, b.rho, b.sigma, b.best_subgraph, b.bound
-        );
-    }
-    for s in &a.subgraphs {
-        let i = &s.intensity;
-        let _ = writeln!(
-            out,
-            "subgraph {:?} model={} sigma={:?} chi={:016x} rho={} x0={:?} rho_ref={:016x}",
-            s.arrays,
-            i.name,
-            i.sigma,
-            i.chi_coeff.to_bits(),
-            i.rho,
-            i.x0.as_ref().map(|e| e.to_string()),
-            s.rho_ref.to_bits()
-        );
-        for ((name, e), (_, c)) in i.tile_exponents.iter().zip(&i.tile_coeffs) {
-            let _ = writeln!(out, "  tile {name} exp={e:?} coeff={:016x}", c.to_bits());
-        }
-    }
-    for n in &a.notes {
-        let _ = writeln!(out, "note {n}");
-    }
-    out
 }
 
 #[test]
