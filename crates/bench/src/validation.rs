@@ -83,7 +83,13 @@ pub fn validate_kernel(case: &ValidationCase) -> Option<ValidationReport> {
         params.iter().map(|(k, v)| (k.clone(), *v as f64)).collect();
     bindings.insert("S".to_string(), case.s as f64);
 
-    let sdg_opts = SdgOptions::default();
+    // The bound under validation is the kernel's Table-2 bound, so the
+    // analysis honours the kernel's injectivity assumption like the
+    // statement analysis below.
+    let sdg_opts = SdgOptions {
+        assume_injective: entry.assume_injective,
+        ..SdgOptions::default()
+    };
     let analysis = analyze_program(&entry.program, &sdg_opts, &SolveCache::new(), None).ok()?;
     let lower_bound = analysis.bound.eval(&bindings)?;
 
@@ -161,6 +167,41 @@ mod tests {
         })
         .unwrap();
         assert!(report.naive_io as f64 >= report.lower_bound, "{report}");
+    }
+
+    #[test]
+    fn injective_kernels_validate_their_injective_bound() {
+        // direct-conv is reported under the §5.3 injectivity assumption: the
+        // bound its schedules are checked against is the injective one.
+        let case = ValidationCase {
+            kernel: "direct-conv",
+            size: 2,
+            s: 16,
+        };
+        let entry = soap_kernels::by_name(case.kernel).unwrap();
+        assert!(entry.assume_injective);
+        let report = validate_kernel(&case).unwrap();
+        let mut bindings: BTreeMap<String, f64> = entry
+            .program
+            .parameters()
+            .into_iter()
+            .map(|p| (p, case.size as f64))
+            .collect();
+        bindings.insert("S".to_string(), case.s as f64);
+        let bound = |assume_injective: bool| {
+            let opts = SdgOptions {
+                assume_injective,
+                ..SdgOptions::default()
+            };
+            analyze_program(&entry.program, &opts, &SolveCache::new(), None)
+                .unwrap()
+                .bound
+                .eval(&bindings)
+                .unwrap()
+        };
+        let (injective, conservative) = (bound(true), bound(false));
+        assert_ne!(injective.to_bits(), conservative.to_bits());
+        assert_eq!(report.lower_bound.to_bits(), injective.to_bits());
     }
 
     #[test]

@@ -259,7 +259,7 @@ pub fn analyze_statement(
         dominator: dominator.clone(),
         access_index_sets: index_sets,
     };
-    let intensity = solve_model(&model, None).0?;
+    let intensity = solve_model(&model.compile(), None).0?;
     let domain_size = st.execution_count();
     let params = st.parameters();
     let leading = domain_size.leading_terms(&params).to_expr();

@@ -26,7 +26,7 @@ pub mod model;
 pub mod projections;
 
 pub use analysis::{analyze_conditional, analyze_statement, AnalysisOptions, StatementAnalysis};
-pub use model::{fit_intensity, solve_model, AccessModel, IntensityResult};
+pub use model::{fit_intensity, solve_model, AccessModel, CompiledModel, IntensityResult};
 
 /// Errors produced by the analysis.
 #[derive(Clone, Debug, PartialEq)]

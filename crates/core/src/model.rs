@@ -1,11 +1,15 @@
 //! The dominator/subcomputation optimization model and its solution.
 //!
 //! An [`AccessModel`] is the optimization problem (8) of the paper for a
-//! single (or merged, see `soap-sdg`) SOAP statement: maximize the
+//! single SOAP statement, as symbolic expressions: maximize the
 //! subcomputation size `χ(D)` subject to the dominator-set bound
-//! `g(D) ≤ X`.  Solving it yields the computational intensity
-//! `ρ(S) = min_X χ(X)/(X−S)`, the optimal `X₀`, and the optimal tile shape.
+//! `g(D) ≤ X`.  A [`CompiledModel`] is the same problem compiled to
+//! posynomial rows — the form [`solve_model`] solves, and the form the
+//! merged subgraph models of `soap-sdg` are built in directly.  Solving it
+//! yields the computational intensity `ρ(S) = min_X χ(X)/(X−S)`, the
+//! optimal `X₀`, and the optimal tile shape.
 
+use crate::access_size::{Atoms, Rows};
 use crate::AnalysisError;
 use soap_symbolic::opt::ProductSolution;
 use soap_symbolic::{
@@ -13,7 +17,7 @@ use soap_symbolic::{
     SolveInfo, POWER_LAW_PROBES,
 };
 
-/// The optimization model for one (possibly merged) statement.
+/// The optimization model for one statement, as expressions.
 #[derive(Clone, Debug)]
 pub struct AccessModel {
     /// Human-readable name (statement or SDG-subgraph name).
@@ -79,31 +83,93 @@ impl IntensityResult {
     }
 }
 
-/// Solve an [`AccessModel`]: fit the power law of `χ(X)`, cross-check the
+/// An optimization model compiled for solving: the objective and dominator
+/// as compiled posynomial forms over the tile variables' positions.
+///
+/// The single-statement analysis builds it from an [`AccessModel`] with
+/// [`AccessModel::compile`]; the subgraph merge in `soap-sdg` builds it
+/// straight from the rows of the access sizes ([`CompiledModel::from_rows`]).
+/// [`solve_model`] and the cross-subgraph solve cache take only this form.
+#[derive(Clone, Debug)]
+pub struct CompiledModel {
+    /// Human-readable name (statement or SDG-subgraph name).
+    pub name: String,
+    /// Tile variables (`D_<var>`), one per compiled variable position.
+    pub tile_variables: Vec<String>,
+    /// The compiled objective and dominator; `None` when either is outside
+    /// (max-)posynomial form.
+    pub problem: Option<ConstrainedProduct>,
+    /// Whether the dominator is non-zero.
+    pub has_inputs: bool,
+    /// The exact-LP index sets of the dominator terms (see
+    /// [`AccessModel::access_index_sets`]).
+    pub access_index_sets: Vec<Vec<usize>>,
+}
+
+impl AccessModel {
+    /// Compile the objective and dominator over the tile variables.
+    pub fn compile(&self) -> CompiledModel {
+        CompiledModel {
+            name: self.name.clone(),
+            tile_variables: self.tile_variables.clone(),
+            problem: ConstrainedProduct::new(
+                &self.tile_variables,
+                &self.objective,
+                &self.dominator,
+            ),
+            has_inputs: !self.dominator.is_zero(),
+            access_index_sets: self.access_index_sets.clone(),
+        }
+    }
+}
+
+impl CompiledModel {
+    /// A model whose objective and dominator are given as rows over the
+    /// tile variables' positions (the positions past `tile_variables` may
+    /// only occur in rows that do not compile).  No exact-LP index sets.
+    pub fn from_rows(
+        name: String,
+        tile_variables: Vec<String>,
+        objective: &Rows,
+        dominator: &Rows,
+        atoms: &Atoms,
+    ) -> CompiledModel {
+        let n = tile_variables.len();
+        let problem = objective.to_posynomial(n).and_then(|objective| {
+            let constraint = dominator.to_constraint(atoms, n)?;
+            Some(ConstrainedProduct::from_compiled(objective, constraint))
+        });
+        CompiledModel {
+            name,
+            tile_variables,
+            problem,
+            has_inputs: !dominator.is_zero(),
+            access_index_sets: Vec::new(),
+        }
+    }
+}
+
+/// Solve a [`CompiledModel`]: fit the power law of `χ(X)`, cross-check the
 /// exponent against the exact access LP when available, and assemble the
 /// symbolic intensity.  Also returns the aggregated KKT accounting of all
 /// probe solves — the cross-subgraph cache uses it to surface
 /// iteration-budget exhaustion in `SolverSummary`.
 ///
-/// The objective and dominator are compiled once into posynomial form; all
-/// three power-law probes and the tile-shape solve reuse the compiled
+/// All three power-law probes and the tile-shape solve reuse the compiled
 /// arrays.  A model outside (max-)posynomial form fails with
 /// [`AnalysisError::NumericalFailure`].  Under a `deadline` the KKT loops
 /// poll it and the whole solve returns [`AnalysisError::Cancelled`] when it
 /// expires mid-solve.
 pub fn solve_model(
-    model: &AccessModel,
+    model: &CompiledModel,
     deadline: Option<&Deadline>,
 ) -> (Result<IntensityResult, AnalysisError>, SolveInfo) {
-    let has_inputs = !model.dominator.is_zero();
-    // The model checks come before compilation so that their errors win
+    // The model checks come before the form check so that their errors win
     // over a compile failure.
-    if let Err(e) = check_model(&model.name, &model.tile_variables, has_inputs) {
+    if let Err(e) = check_model(&model.name, &model.tile_variables, model.has_inputs) {
         return (Err(e), SolveInfo::default());
     }
-    let Some(problem) =
-        ConstrainedProduct::new(&model.tile_variables, &model.objective, &model.dominator)
-    else {
+    let Some(problem) = &model.problem else {
         let e = AnalysisError::NumericalFailure(format!(
             "model {} is outside (max-)posynomial form",
             model.name
@@ -113,7 +179,7 @@ pub fn solve_model(
     fit_intensity(
         &model.name,
         &model.tile_variables,
-        has_inputs,
+        model.has_inputs,
         &model.access_index_sets,
         |x, warm| problem.solve(x, warm, deadline),
     )
@@ -250,7 +316,7 @@ mod tests {
                 .add(dv("i").mul(dv("j"))),
             access_index_sets: vec![vec![0, 2], vec![2, 1], vec![0, 1]],
         };
-        let res = solve_model(&model, None).0.unwrap();
+        let res = solve_model(&model.compile(), None).0.unwrap();
         assert_eq!(res.sigma, Rational::new(3, 2));
         assert!((res.rho_at(10_000.0) - 50.0).abs() < 1.0);
         // X0 = 3S; tiles at S=10000 are ~sqrt(X0/3) = 100 each.
@@ -275,7 +341,7 @@ mod tests {
             dominator: dv("i").add(Expr::int(2).mul(dv("t"))),
             access_index_sets: vec![],
         };
-        let res = solve_model(&model, None).0.unwrap();
+        let res = solve_model(&model.compile(), None).0.unwrap();
         assert_eq!(res.sigma, Rational::int(2));
         for (name, e) in &res.tile_exponents {
             assert_eq!(*e, Rational::ONE, "tile exponent of {name}");
@@ -312,7 +378,7 @@ mod tests {
             access_index_sets: vec![],
         };
         assert!(matches!(
-            solve_model(&model, None).0,
+            solve_model(&model.compile(), None).0,
             Err(AnalysisError::NoInputs(_))
         ));
     }
@@ -328,7 +394,7 @@ mod tests {
             dominator: dv("i").mul(dv("j")).sqrt().add(dv("i")).add(dv("j")),
             access_index_sets: vec![],
         };
-        let (solved, info) = solve_model(&model, None);
+        let (solved, info) = solve_model(&model.compile(), None);
         assert!(
             matches!(solved, Err(AnalysisError::NumericalFailure(ref msg)) if msg.contains("sqrt-dominator")),
             "{solved:?}"
@@ -349,7 +415,7 @@ mod tests {
             dominator: g,
             access_index_sets: vec![],
         };
-        let res = solve_model(&model, None).0.unwrap();
+        let res = solve_model(&model.compile(), None).0.unwrap();
         assert_eq!(res.sigma, Rational::ONE);
         assert!((res.rho_at(64.0) - 2.0).abs() < 0.05);
         assert!(res.x0.is_none());

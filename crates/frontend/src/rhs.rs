@@ -6,7 +6,7 @@
 //! are parsed where they stand, terms go straight into the coefficient
 //! maps, and every name is copied once, into the IR that keeps it.
 
-use crate::{FrontendError, MAX_LOOP_DEPTH};
+use crate::{FrontendError, MAX_LOOP_DEPTH, MAX_LOWERED_LOOPS};
 use soap_ir::parse::parse_lin_index;
 use soap_ir::{
     AccessComponent, AffineExpr, ArrayAccess, IterationDomain, LinIndex, LoopVar, Program,
@@ -27,11 +27,15 @@ const SCAN_LIMIT: usize = 16;
 /// parsed are moved in as they close, and the `shared` outermost loops,
 /// still open, are copied in when the next statement arrives or the source
 /// ends.
+///
+/// Each statement's copy of its nest counts towards [`MAX_LOWERED_LOOPS`],
+/// checked before the statement is parsed.
 #[derive(Default)]
 pub(crate) struct Lowering {
     loops: Vec<LoopVar>,
     statements: Vec<Statement>,
     shared: usize,
+    lowered: usize,
 }
 
 impl Lowering {
@@ -74,6 +78,10 @@ impl Lowering {
     ) -> Result<(), FrontendError> {
         if self.loops.is_empty() {
             return Err(FrontendError::StatementOutsideLoop { line: line_no });
+        }
+        self.lowered += self.loops.len();
+        if self.lowered > MAX_LOWERED_LOOPS {
+            return Err(FrontendError::TooManyLoweredLoops { line: line_no });
         }
         let assignment = parse_assignment(text, line_no, col)?;
         // Validate against the open nest itself, lent for the check.

@@ -6,7 +6,9 @@
 //! its reads with a scan per reference took 45.8 s in release (2-core
 //! x86-64 VM), the linear grouping about 50 ms.
 
-use soap_frontend::{parse_c, parse_python, FrontendError, MAX_SOURCE_BYTES};
+use soap_frontend::{
+    parse_c, parse_python, FrontendError, MAX_LOOP_DEPTH, MAX_LOWERED_LOOPS, MAX_SOURCE_BYTES,
+};
 use soap_ir::Program;
 use std::time::{Duration, Instant};
 
@@ -62,5 +64,63 @@ fn megabyte_statement_parses_within_budget_in_both_dialects() {
             inputs[0].components[refs - 1].indices[0].offset,
             refs as i64 - 1
         );
+    }
+}
+
+/// A `MAX_LOOP_DEPTH`-deep nest around `statements` one-line statements, in
+/// both dialects: every statement owns a copy of the whole nest.
+fn deep_nest_sources(statements: usize) -> [(&'static str, String); 2] {
+    let depth = MAX_LOOP_DEPTH;
+    let innermost = format!("v{}", depth - 1);
+    let mut python = String::new();
+    let mut c = String::new();
+    for d in 0..depth {
+        python.push_str(&" ".repeat(d));
+        python.push_str(&format!("for v{d} in range(N):\n"));
+        c.push_str(&format!("for (v{d} = 0; v{d} < N; v{d}++) {{\n"));
+    }
+    for _ in 0..statements {
+        python.push_str(&" ".repeat(depth));
+        python.push_str(&format!("A[{innermost}] = B[{innermost}]\n"));
+        c.push_str(&format!("A[{innermost}] = B[{innermost}];\n"));
+    }
+    c.push_str(&"}\n".repeat(depth));
+    [("python", python), ("C", c)]
+}
+
+fn parse(dialect: &str, src: &str) -> Result<Program, FrontendError> {
+    if dialect == "C" {
+        parse_c("deep", src)
+    } else {
+        parse_python("deep", src)
+    }
+}
+
+#[test]
+fn deep_nest_copied_into_many_statements_is_rejected_in_both_dialects() {
+    // 2,000 statements under 64 loops: 32 KB of C that would lower to
+    // 128,000 loop copies.  The first statement past the budget is
+    // rejected, on its own line, before it is lowered.
+    let first_over = MAX_LOWERED_LOOPS / MAX_LOOP_DEPTH + 1;
+    for (dialect, src) in deep_nest_sources(2000) {
+        if dialect == "C" {
+            assert!(src.len() < 40 * 1024, "C source is {} bytes", src.len());
+        }
+        assert_eq!(
+            parse(dialect, &src).unwrap_err(),
+            FrontendError::TooManyLoweredLoops {
+                line: MAX_LOOP_DEPTH + first_over
+            },
+            "{dialect}"
+        );
+    }
+    // Exactly at the budget, the same nest still parses.
+    for (dialect, src) in deep_nest_sources(MAX_LOWERED_LOOPS / MAX_LOOP_DEPTH) {
+        let program = parse(dialect, &src).expect("the budget itself is allowed");
+        assert_eq!(program.statements.len(), MAX_LOWERED_LOOPS / MAX_LOOP_DEPTH);
+        assert!(program
+            .statements
+            .iter()
+            .all(|st| st.domain.loops.len() == MAX_LOOP_DEPTH));
     }
 }

@@ -132,16 +132,18 @@ pub struct SolverSummary {
 /// workers*, so on a multi-threaded run their total can legitimately exceed
 /// the program's wall clock.  `solve_ms` counts actual optimizer time (cache
 /// misses and uncacheable models only); `instantiate_ms` is the remainder of
-/// the per-subgraph cache path — canonical-key construction, shard lock
-/// waits and stored-solution instantiation.
+/// the per-subgraph solve call — canonicalizing the compiled model (variable
+/// order and canonical key), the cache lookup with its shard lock waits, and
+/// instantiating the stored solution under the model's names.  Merging
+/// itself, which now ends in the compiled model, is all in `merge_ms`.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseTimings {
     /// SDG construction + connected-subgraph enumeration (wall clock).
     pub enumerate_ms: f64,
     /// Per-subgraph statement merging (summed across workers).
     pub merge_ms: f64,
-    /// Canonical-key construction + cache lookup + stored-solution
-    /// instantiation (summed across workers).
+    /// Canonicalize (variable order and key of the compiled model) + cache
+    /// lookup + stored-solution instantiation (summed across workers).
     pub instantiate_ms: f64,
     /// Actual optimizer solves — cache misses and uncacheable models (summed
     /// across workers).

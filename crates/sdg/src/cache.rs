@@ -2,7 +2,7 @@
 //!
 //! On real programs the ~hundreds of merged subgraph models are highly
 //! repetitive: a chain of `k` matmuls produces `O(k)` singleton/pair/triple
-//! subgraphs whose [`AccessModel`]s differ only in array and variable *names*.
+//! subgraphs whose [`CompiledModel`]s differ only in array and variable *names*.
 //! Solving each takes thousands of compiled-posynomial probes, so structurally
 //! identical models are detected up front and solved once.
 //!
@@ -55,7 +55,7 @@ use crate::store::{
     decode_report_payload, encode_report_payload, HeldReport, ReportParts, SolveStore,
     StoreFlushStats, StoreLoadStats, StoredReport,
 };
-use soap_core::{fit_intensity, solve_model, AccessModel, AnalysisError, IntensityResult};
+use soap_core::{fit_intensity, solve_model, AnalysisError, CompiledModel, IntensityResult};
 use soap_symbolic::{
     CompiledConstraint, CompiledPosynomial, ConstrainedProduct, Deadline, Expr, MaxPosynomial,
     Rational, SolveInfo,
@@ -92,7 +92,7 @@ pub(crate) enum CanonicalDominator {
     },
 }
 
-/// The canonical key of an [`AccessModel`] modulo variable renaming.
+/// The canonical key of a [`CompiledModel`] modulo variable renaming.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CanonicalKey {
     pub(crate) n_vars: usize,
@@ -116,33 +116,35 @@ pub struct CanonicalModel {
     pub order: Vec<usize>,
 }
 
-/// Compute the canonical form of a model.
+/// Compute the canonical form of a compiled model.
 ///
 /// Returns `None` when the model is not cacheable: an objective/dominator
 /// outside (max-)posynomial form, or a non-empty `access_index_sets` (the
 /// exact-LP cross-check depends on data outside the matrices, so such models
-/// are solved directly).
-pub fn canonicalize(model: &AccessModel) -> Option<CanonicalModel> {
+/// are solved directly).  Works on the compiled rows alone: nothing is
+/// expanded or compiled here.
+pub fn canonicalize(model: &CompiledModel) -> Option<CanonicalModel> {
     if !model.access_index_sets.is_empty() {
         return None;
     }
-    let vars = &model.tile_variables;
-    let obj = CompiledPosynomial::compile(&model.objective, vars)?;
-    let (order, dominator) = match CompiledConstraint::compile(&model.dominator, vars)? {
+    let problem = model.problem.as_ref()?;
+    let n_vars = model.tile_variables.len();
+    let obj = problem.objective();
+    let (order, dominator) = match problem.constraint() {
         CompiledConstraint::Pure(dom) => {
-            let order = canonical_variable_order(&[(0u8, &obj), (1u8, &dom)], vars.len());
-            let dominator = CanonicalDominator::Pure(permuted_rows(&dom, &order));
+            let order = canonical_variable_order(&[(0u8, obj), (1u8, dom)], n_vars);
+            let dominator = CanonicalDominator::Pure(permuted_rows(dom, &order));
             (order, dominator)
         }
         CompiledConstraint::Mixed(dom) => {
-            let order = max_variable_order(&obj, &dom, vars.len());
-            let dominator = canonical_max_dominator(&dom, &order);
+            let order = max_variable_order(obj, dom, n_vars);
+            let dominator = canonical_max_dominator(dom, &order);
             (order, dominator)
         }
     };
     let key = CanonicalKey {
-        n_vars: vars.len(),
-        objective: permuted_rows(&obj, &order),
+        n_vars,
+        objective: permuted_rows(obj, &order),
         dominator,
     };
     Some(CanonicalModel { key, order })
@@ -210,13 +212,23 @@ fn canonical_max_dominator(dom: &MaxPosynomial, order: &[usize]) -> CanonicalDom
     CanonicalDominator::Max { terms, atoms }
 }
 
-/// A variable's signature: a sortable value that is invariant under variable
-/// renaming, refined over rounds.  Each entry describes one occurrence of the
-/// variable in a term: `(polynomial tag, own exponent, coefficient, sorted
-/// co-occurring (signature-rank, exponent) pairs)`.
-type Signature = Vec<(u8, i16, Rational, Vec<(usize, i16)>)>;
+/// One occurrence of a variable in a term: `(polynomial tag, own exponent,
+/// coefficient)` plus the range of its co-occurring variables in the
+/// refinement's arena.
+struct Occurrence {
+    var: u32,
+    tag: u8,
+    exp: i16,
+    coeff: Rational,
+    others: std::ops::Range<usize>,
+}
 
 /// Order the variables canonically by iterated signature refinement.
+///
+/// A variable's signature is a sortable value that is invariant under
+/// variable renaming: the sorted list of its occurrences in the terms, each
+/// `(polynomial tag, own exponent, coefficient, sorted co-occurring
+/// (signature-rank, exponent) pairs)`, compared lexicographically.
 ///
 /// Round 0 ranks variables by their raw occurrence profile; each subsequent
 /// round re-ranks them using the previous ranks of the co-occurring variables
@@ -225,39 +237,88 @@ type Signature = Vec<(u8, i16, Rational, Vec<(usize, i16)>)>;
 /// bert's 12-variable merged attention models need four).  Any remaining ties
 /// are broken by original index, which can only cost cache hits, never
 /// correctness (the full matrices are in the key).
+///
+/// The occurrences and their co-occurrence lists are collected once; each
+/// round only rewrites the ranks in place and re-sorts the same buffers.
 fn canonical_variable_order(polys: &[(u8, &CompiledPosynomial)], n_vars: usize) -> Vec<usize> {
-    let mut ranks: Vec<usize> = vec![0; n_vars];
-    for _round in 0..n_vars.max(2) {
-        let prev_ranks = ranks.clone();
-        let mut sigs: Vec<Signature> = vec![Vec::new(); n_vars];
-        for &(tag, poly) in polys {
-            for k in 0..poly.n_terms() {
-                let row = poly.exponent_row(k);
-                let coeff = poly.rational_coeff(k);
-                for (t, &e) in row.iter().enumerate() {
-                    if e == 0 {
-                        continue;
-                    }
-                    let mut others: Vec<(usize, i16)> = row
-                        .iter()
+    // Every occurrence, and the co-occurring (variable, exponent) pairs of
+    // each in one arena.
+    let mut occurrences: Vec<Occurrence> = Vec::new();
+    let mut co: Vec<(u32, i16)> = Vec::new();
+    for &(tag, poly) in polys {
+        for k in 0..poly.n_terms() {
+            let row = poly.exponent_row(k);
+            let coeff = poly.rational_coeff(k);
+            for (t, &e) in row.iter().enumerate() {
+                if e == 0 {
+                    continue;
+                }
+                let start = co.len();
+                co.extend(
+                    row.iter()
                         .enumerate()
                         .filter(|&(u, &eu)| u != t && eu != 0)
-                        .map(|(u, &eu)| (ranks[u], eu))
-                        .collect();
-                    others.sort_unstable();
-                    sigs[t].push((tag, e, coeff, others));
-                }
+                        .map(|(u, &eu)| (u as u32, eu)),
+                );
+                occurrences.push(Occurrence {
+                    var: t as u32,
+                    tag,
+                    exp: e,
+                    coeff,
+                    others: start..co.len(),
+                });
             }
         }
-        for sig in &mut sigs {
-            sig.sort();
+    }
+    // `ranked[i]` is `co[i]` with its variable replaced by that variable's
+    // current rank, sorted within each occurrence's range.
+    let mut ranked: Vec<(usize, i16)> = vec![(0, 0); co.len()];
+    let entry = |ranked: &[(usize, i16)], a: &Occurrence, b: &Occurrence| {
+        (a.tag, a.exp, a.coeff)
+            .cmp(&(b.tag, b.exp, b.coeff))
+            .then_with(|| ranked[a.others.clone()].cmp(&ranked[b.others.clone()]))
+    };
+    // Occurrence indices grouped by variable, each group sorted: the
+    // variable's signature.
+    let mut by_var: Vec<usize> = (0..occurrences.len()).collect();
+    let mut sig_start = vec![0usize; n_vars + 1];
+    for o in &occurrences {
+        sig_start[o.var as usize + 1] += 1;
+    }
+    for t in 0..n_vars {
+        sig_start[t + 1] += sig_start[t];
+    }
+    let mut ranks: Vec<usize> = vec![0; n_vars];
+    let mut prev_ranks: Vec<usize> = vec![0; n_vars];
+    let mut sorted: Vec<usize> = (0..n_vars).collect();
+    for _round in 0..n_vars.max(2) {
+        prev_ranks.copy_from_slice(&ranks);
+        for o in &occurrences {
+            let slot = &mut ranked[o.others.clone()];
+            for (r, &(u, eu)) in slot.iter_mut().zip(&co[o.others.clone()]) {
+                *r = (ranks[u as usize], eu);
+            }
+            slot.sort_unstable();
         }
+        by_var.sort_unstable_by(|&a, &b| {
+            let (oa, ob) = (&occurrences[a], &occurrences[b]);
+            oa.var.cmp(&ob.var).then_with(|| entry(&ranked, oa, ob))
+        });
+        let compare = |a: usize, b: usize| {
+            let sa = &by_var[sig_start[a]..sig_start[a + 1]];
+            let sb = &by_var[sig_start[b]..sig_start[b + 1]];
+            sa.iter()
+                .zip(sb)
+                .map(|(&x, &y)| entry(&ranked, &occurrences[x], &occurrences[y]))
+                .find(|o| o.is_ne())
+                .unwrap_or_else(|| sa.len().cmp(&sb.len()))
+        };
         // Re-rank: equal signatures share a rank.
-        let mut sorted: Vec<usize> = (0..n_vars).collect();
-        sorted.sort_by(|&a, &b| sigs[a].cmp(&sigs[b]));
+        sorted.sort_by(|&a, &b| compare(a, b));
         let mut next_rank = 0;
-        for (i, &t) in sorted.iter().enumerate() {
-            if i > 0 && sigs[t] != sigs[sorted[i - 1]] {
+        for i in 0..n_vars {
+            let t = sorted[i];
+            if i > 0 && compare(t, sorted[i - 1]).is_ne() {
                 next_rank = i;
             }
             ranks[t] = next_rank;
@@ -550,7 +611,7 @@ pub struct CacheSession<'a> {
 impl CacheSession<'_> {
     /// Solve `model` through the underlying shared cache, accounting the
     /// outcome to both the cache and this session.
-    pub fn solve(&self, model: &AccessModel) -> Result<IntensityResult, AnalysisError> {
+    pub fn solve(&self, model: &CompiledModel) -> Result<IntensityResult, AnalysisError> {
         self.cache
             .solve_scoped(model, self.scope, Some(&self.local), self.deadline.as_ref())
     }
@@ -818,7 +879,7 @@ impl SolveCache {
     /// Solve `model`, answering structurally identical models from the cache
     /// (scope-less convenience for single-program use; see
     /// [`SolveCache::session`] for batch use).
-    pub fn solve(&self, model: &AccessModel) -> Result<IntensityResult, AnalysisError> {
+    pub fn solve(&self, model: &CompiledModel) -> Result<IntensityResult, AnalysisError> {
         self.solve_scoped(model, 0, None, None)
     }
 
@@ -854,7 +915,7 @@ impl SolveCache {
     /// structure (see the module docs).
     fn solve_scoped(
         &self,
-        model: &AccessModel,
+        model: &CompiledModel,
         scope: u64,
         local: Option<&CacheCounters>,
         deadline: Option<&Deadline>,
@@ -1074,7 +1135,7 @@ fn to_canonical(
 /// stored message names whichever isomorphic model was solved first).
 fn instantiate(
     cached: Result<CanonicalSolution, AnalysisError>,
-    model: &AccessModel,
+    model: &CompiledModel,
     order: &[usize],
 ) -> Result<IntensityResult, AnalysisError> {
     let sol = cached.map_err(|e| relabel_error(e, &model.name))?;
@@ -1115,9 +1176,14 @@ fn relabel_error(e: AnalysisError, name: &str) -> AnalysisError {
 }
 
 #[cfg(test)]
+#[path = "../tests/common/canonical_oracle.rs"]
+pub(crate) mod canonical_oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use soap_core::access_size::tile_var;
+    use soap_core::AccessModel;
 
     fn dv(v: &str) -> Expr {
         Expr::sym(tile_var(v))
@@ -1138,17 +1204,17 @@ mod tests {
 
     #[test]
     fn renamed_models_share_a_key() {
-        let a = canonicalize(&mmm_model("a", ["i", "j", "k"])).unwrap();
-        let b = canonicalize(&mmm_model("b", ["p", "q", "r"])).unwrap();
+        let a = canonicalize(&mmm_model("a", ["i", "j", "k"]).compile()).unwrap();
+        let b = canonicalize(&mmm_model("b", ["p", "q", "r"]).compile()).unwrap();
         assert_eq!(a.key, b.key);
         // Reordered variables too: the canonical order undoes the shuffle.
-        let c = canonicalize(&mmm_model("c", ["k", "i", "j"])).unwrap();
+        let c = canonicalize(&mmm_model("c", ["k", "i", "j"]).compile()).unwrap();
         assert_eq!(a.key, c.key);
     }
 
     #[test]
     fn different_structures_get_different_keys() {
-        let mmm = canonicalize(&mmm_model("mmm", ["i", "j", "k"])).unwrap();
+        let mmm = canonicalize(&mmm_model("mmm", ["i", "j", "k"]).compile()).unwrap();
         // A stencil-like model over three variables: same variable count,
         // different matrices.
         let stencil = AccessModel {
@@ -1158,12 +1224,12 @@ mod tests {
             dominator: dv("i").add(dv("j")).add(dv("k")),
             access_index_sets: vec![],
         };
-        let stencil = canonicalize(&stencil).unwrap();
+        let stencil = canonicalize(&stencil.compile()).unwrap();
         assert_ne!(mmm.key, stencil.key);
         // Same matrices but a different coefficient also differs.
         let mut scaled = mmm_model("scaled", ["i", "j", "k"]);
         scaled.objective = Expr::int(2).mul(scaled.objective);
-        let scaled = canonicalize(&scaled).unwrap();
+        let scaled = canonicalize(&scaled.compile()).unwrap();
         assert_ne!(mmm.key, scaled.key);
     }
 
@@ -1178,9 +1244,9 @@ mod tests {
             dominator: dv(v[0]).add(dv(v[1])),
             access_index_sets: vec![],
         };
-        let a = canonicalize(&make(["x", "y"])).unwrap();
-        let b = canonicalize(&make(["u", "t"])).unwrap();
-        let c = canonicalize(&make(["t", "u"])).unwrap();
+        let a = canonicalize(&make(["x", "y"]).compile()).unwrap();
+        let b = canonicalize(&make(["u", "t"]).compile()).unwrap();
+        let c = canonicalize(&make(["t", "u"]).compile()).unwrap();
         assert_eq!(a.key, b.key);
         assert_eq!(a.key, c.key);
     }
@@ -1202,28 +1268,28 @@ mod tests {
 
     #[test]
     fn renamed_max_models_share_a_key() {
-        let a = canonicalize(&union_model("a", ["i", "j", "k"])).unwrap();
+        let a = canonicalize(&union_model("a", ["i", "j", "k"]).compile()).unwrap();
         assert!(a.key.is_max_form());
-        let b = canonicalize(&union_model("b", ["p", "q", "r"])).unwrap();
+        let b = canonicalize(&union_model("b", ["p", "q", "r"]).compile()).unwrap();
         assert_eq!(a.key, b.key);
         // Reordered variables: the canonical order undoes the shuffle.  Note
         // the reordering also flips the branch order inside the max (Expr
         // simplification sorts operands by name), so this exercises the
         // unordered branch multiset too.
-        let c = canonicalize(&union_model("c", ["k", "i", "j"])).unwrap();
+        let c = canonicalize(&union_model("c", ["k", "i", "j"]).compile()).unwrap();
         assert_eq!(a.key, c.key);
     }
 
     #[test]
     fn max_models_differing_in_one_branch_do_not_collide() {
-        let base = canonicalize(&union_model("base", ["i", "j", "k"])).unwrap();
+        let base = canonicalize(&union_model("base", ["i", "j", "k"]).compile()).unwrap();
         // Same shape except one max branch has a squared exponent.
         let mut bumped = union_model("bumped", ["i", "j", "k"]);
         bumped.dominator = dv("i")
             .mul(dv("j"))
             .max(dv("i").pow(Rational::int(2)).mul(dv("k")))
             .add(dv("j").mul(dv("k")));
-        let bumped = canonicalize(&bumped).unwrap();
+        let bumped = canonicalize(&bumped.compile()).unwrap();
         assert_ne!(base.key, bumped.key);
         // A different coefficient inside a branch also differs.
         let mut scaled = union_model("scaled", ["i", "j", "k"]);
@@ -1231,7 +1297,7 @@ mod tests {
             .mul(dv("j"))
             .max(Expr::int(2).mul(dv("i")).mul(dv("k")))
             .add(dv("j").mul(dv("k")));
-        let scaled = canonicalize(&scaled).unwrap();
+        let scaled = canonicalize(&scaled.compile()).unwrap();
         assert_ne!(base.key, scaled.key);
         // And so does moving the max to a different monomial association:
         // max(...)·j vs max(...) + j·k keeps different term↔atom incidence.
@@ -1241,10 +1307,10 @@ mod tests {
             .max(dv("i").mul(dv("k")))
             .mul(dv("j"))
             .add(dv("j").mul(dv("k")));
-        let assoc = canonicalize(&assoc).unwrap();
+        let assoc = canonicalize(&assoc.compile()).unwrap();
         assert_ne!(base.key, assoc.key);
         // Pure and max-form models can never collide.
-        let pure = canonicalize(&mmm_model("pure", ["i", "j", "k"])).unwrap();
+        let pure = canonicalize(&mmm_model("pure", ["i", "j", "k"]).compile()).unwrap();
         assert!(!pure.key.is_max_form());
         assert_ne!(pure.key, base.key);
     }
@@ -1252,10 +1318,12 @@ mod tests {
     #[test]
     fn max_cache_hits_reproduce_the_direct_solution() {
         let cache = SolveCache::new();
-        let first = cache.solve(&union_model("first", ["i", "j", "k"])).unwrap();
+        let first = cache
+            .solve(&union_model("first", ["i", "j", "k"]).compile())
+            .unwrap();
         let renamed = union_model("renamed", ["c", "a", "b"]);
-        let hit = cache.solve(&renamed).unwrap();
-        let direct = solve_model(&renamed, None).0.unwrap();
+        let hit = cache.solve(&renamed.compile()).unwrap();
+        let direct = solve_model(&renamed.compile(), None).0.unwrap();
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
@@ -1277,9 +1345,9 @@ mod tests {
         // matrices; the cache solves them directly and counts them.
         let mut model = mmm_model("lp", ["i", "j", "k"]);
         model.access_index_sets = vec![vec![0, 2], vec![2, 1], vec![0, 1]];
-        assert!(canonicalize(&model).is_none());
+        assert!(canonicalize(&model.compile()).is_none());
         let cache = SolveCache::new();
-        let _ = cache.solve(&model);
+        let _ = cache.solve(&model.compile());
         assert_eq!(cache.stats().uncacheable, 1);
     }
 
@@ -1287,14 +1355,14 @@ mod tests {
     fn models_outside_posynomial_form_are_uncacheable_failures() {
         let mut model = mmm_model("sqrt", ["i", "j", "k"]);
         model.dominator = model.dominator.sqrt();
-        assert!(canonicalize(&model).is_none());
+        assert!(canonicalize(&model.compile()).is_none());
         let cache = SolveCache::new();
-        let cached = cache.solve(&model).unwrap_err();
+        let cached = cache.solve(&model.compile()).unwrap_err();
         assert!(
             matches!(cached, AnalysisError::NumericalFailure(_)),
             "{cached:?}"
         );
-        assert_eq!(cached, solve_model(&model, None).0.unwrap_err());
+        assert_eq!(cached, solve_model(&model.compile(), None).0.unwrap_err());
         let stats = cache.stats();
         assert_eq!((stats.uncacheable, stats.misses, stats.hits), (1, 0, 0));
     }
@@ -1309,8 +1377,8 @@ mod tests {
             access_index_sets: vec![],
         };
         let cache = SolveCache::new();
-        let first = cache.solve(&failing("first", "i"));
-        let second = cache.solve(&failing("second", "q"));
+        let first = cache.solve(&failing("first", "i").compile());
+        let second = cache.solve(&failing("second", "q").compile());
         assert!(matches!(first, Err(AnalysisError::NoInputs(ref n)) if n == "first"));
         assert!(matches!(second, Err(AnalysisError::NoInputs(ref n)) if n == "second"));
         assert_eq!(cache.stats().misses, 1);
@@ -1325,7 +1393,7 @@ mod tests {
         let cold_result = {
             let cold = SolveCache::with_store(&dir).expect("store opens");
             assert_eq!(cold.store_load_stats().unwrap().entries, 0);
-            let result = cold.solve(&model).unwrap();
+            let result = cold.solve(&model.compile()).unwrap();
             let flush = cold.flush_store().expect("flush succeeds");
             assert_eq!(flush.appended, 1);
             // A second flush has nothing new.
@@ -1336,7 +1404,7 @@ mod tests {
         let warm = SolveCache::with_store(&dir).expect("store reopens");
         assert_eq!(warm.store_load_stats().unwrap().entries, 1);
         let renamed = mmm_model("renamed", ["p", "q", "r"]);
-        let hit = warm.solve(&renamed).unwrap();
+        let hit = warm.solve(&renamed.compile()).unwrap();
         let stats = warm.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 0);
@@ -1369,7 +1437,7 @@ mod tests {
         };
         {
             let cold = SolveCache::with_store(&dir).unwrap();
-            assert!(cold.solve(&failing).is_err());
+            assert!(cold.solve(&failing.compile()).is_err());
             assert_eq!(cold.flush_store().unwrap().appended, 1);
         }
         let warm = SolveCache::with_store(&dir).unwrap();
@@ -1377,7 +1445,7 @@ mod tests {
         renamed.name = "renamed".into();
         renamed.tile_variables = vec![tile_var("q")];
         renamed.objective = dv("q");
-        let err = warm.solve(&renamed);
+        let err = warm.solve(&renamed.compile());
         assert!(matches!(err, Err(AnalysisError::NoInputs(ref n)) if n == "renamed"));
         let stats = warm.stats();
         assert_eq!((stats.misses, stats.store_hits), (0, 1));
@@ -1392,7 +1460,7 @@ mod tests {
         // The governed session's solve is cancelled at the cache's init
         // commit point...
         let session = cache.session(Some(expired));
-        let err = session.solve(&mmm_model("governed", ["i", "j", "k"]));
+        let err = session.solve(&mmm_model("governed", ["i", "j", "k"]).compile());
         assert!(
             matches!(err, Err(AnalysisError::Cancelled(_))),
             "expected Cancelled, got {err:?}"
@@ -1402,7 +1470,7 @@ mod tests {
         // must run as a plain first-touch miss and succeed.
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (0, 0), "{stats:?}");
-        let solved = cache.solve(&mmm_model("retry", ["p", "q", "r"]));
+        let solved = cache.solve(&mmm_model("retry", ["p", "q", "r"]).compile());
         assert!(solved.is_ok());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (0, 1), "{stats:?}");
@@ -1418,7 +1486,7 @@ mod tests {
             expired.cancel();
             let session = cache.session(Some(expired));
             assert!(matches!(
-                session.solve(&mmm_model("cancelled", ["i", "j", "k"])),
+                session.solve(&mmm_model("cancelled", ["i", "j", "k"]).compile()),
                 Err(AnalysisError::Cancelled(_))
             ));
             drop(session);
@@ -1468,9 +1536,11 @@ mod tests {
     fn governed_session_with_a_live_deadline_matches_ungoverned_output() {
         let governed_cache = SolveCache::new();
         let session = governed_cache.session(Some(Deadline::never()));
-        let governed = session.solve(&mmm_model("m", ["i", "j", "k"])).unwrap();
+        let governed = session
+            .solve(&mmm_model("m", ["i", "j", "k"]).compile())
+            .unwrap();
         drop(session);
-        let direct = solve_model(&mmm_model("m", ["i", "j", "k"]), None)
+        let direct = solve_model(&mmm_model("m", ["i", "j", "k"]).compile(), None)
             .0
             .unwrap();
         assert_eq!(governed.sigma, direct.sigma);
@@ -1482,10 +1552,12 @@ mod tests {
     #[test]
     fn cache_hits_reproduce_the_direct_solution() {
         let cache = SolveCache::new();
-        let first = cache.solve(&mmm_model("first", ["i", "j", "k"])).unwrap();
+        let first = cache
+            .solve(&mmm_model("first", ["i", "j", "k"]).compile())
+            .unwrap();
         let renamed = mmm_model("renamed", ["c", "a", "b"]);
-        let hit = cache.solve(&renamed).unwrap();
-        let direct = solve_model(&renamed, None).0.unwrap();
+        let hit = cache.solve(&renamed.compile()).unwrap();
+        let direct = solve_model(&renamed.compile(), None).0.unwrap();
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(hit.name, "renamed");

@@ -1489,7 +1489,7 @@ mod solve_oracle;
 
 #[cfg(test)]
 #[path = "../tests/common/random_programs.rs"]
-mod random_programs;
+pub(crate) mod random_programs;
 
 #[cfg(test)]
 mod tests {
@@ -1527,13 +1527,16 @@ mod tests {
         } else {
             dv("a").mul(dv("b")).add(dv("b").mul(dv("c")))
         };
-        canonicalize(&AccessModel {
-            name: "t".into(),
-            tile_variables: vec!["a".into(), "b".into(), "c".into()],
-            objective: dv("a").mul(dv("b")).mul(dv("c")),
-            dominator,
-            access_index_sets: vec![],
-        })
+        canonicalize(
+            &AccessModel {
+                name: "t".into(),
+                tile_variables: vec!["a".into(), "b".into(), "c".into()],
+                objective: dv("a").mul(dv("b")).mul(dv("c")),
+                dominator,
+                access_index_sets: vec![],
+            }
+            .compile(),
+        )
         .expect("cacheable")
         .key
     }

@@ -23,6 +23,10 @@ use fixtures::chain_of_matmuls;
 mod reference_solver;
 use reference_solver::ReferenceProblem;
 
+#[path = "common/merge_oracle.rs"]
+mod merge_oracle;
+use merge_oracle::oracle_merged_model;
+
 /// The whole model solve (checks, power-law fit, LP cross-check, tile
 /// shapes) over the `Expr`-eval reference KKT solver.
 fn solve_model_reference(model: &AccessModel) -> Result<IntensityResult, AnalysisError> {
@@ -112,8 +116,9 @@ fn union_chain(k: usize) -> Program {
     b.build().expect("union chain builds")
 }
 
-/// Every merged subgraph model of `program`: the compiled and reference
-/// solver paths must produce byte-identical snapped outputs.
+/// Every merged subgraph model of `program`: the compiled solver on the
+/// row-built model and the reference solver on the `Expr` model of the
+/// test support's merge must produce byte-identical snapped outputs.
 fn assert_models_differentially_identical(program: &Program) {
     let sdg = Sdg::from_program(program);
     let subgraphs = enumerate_connected_subgraphs(&sdg, 3, 512).subgraphs;
@@ -124,7 +129,9 @@ fn assert_models_differentially_identical(program: &Program) {
             continue;
         };
         let fast = solve_model(&model, None).0;
-        let slow = solve_model_reference(&model);
+        let expr_model =
+            oracle_merged_model(program, arrays, &opts).expect("the oracle merges too");
+        let slow = solve_model_reference(&expr_model);
         match (fast, slow) {
             (Ok(fast), Ok(slow)) => {
                 compared += 1;

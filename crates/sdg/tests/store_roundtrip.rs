@@ -134,6 +134,49 @@ fn full_registry_round_trips_byte_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The solve records `soap-cli batch --all --cache-dir` wrote for the whole
+/// registry before the subgraph merge built its models as rows instead of
+/// `Expr` trees: one record per canonical structure of the registry.
+const REGISTRY_SOLVE_RECORDS: &str = include_str!("fixtures/registry-solve-records.soapstore");
+
+#[test]
+fn committed_registry_records_answer_every_subgraph() {
+    // A change to the canonical keys would orphan every store written by an
+    // earlier build: each subgraph would miss and be solved again.  Over a
+    // store holding only the committed records, a registry pass must find
+    // every structure there and match a cold pass in every result field.
+    let dir = temp_dir("pinned-keys");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(
+        dir.join("seg-00000000000000000000-0-0000.soapstore"),
+        REGISTRY_SOLVE_RECORDS,
+    )
+    .unwrap();
+    let jobs = registry_jobs();
+    let warm_cache = SolveCache::with_store(&dir).expect("store opens");
+    let load = warm_cache.store_load_stats().unwrap().clone();
+    assert_eq!(load.records_skipped, 0, "notes: {:?}", load.notes);
+    assert_eq!(load.entries, REGISTRY_SOLVE_RECORDS.lines().count() - 1);
+    let warm = analyze_suite(&jobs, &warm_cache, None, None);
+    let stats = warm.summary.cache;
+    assert_eq!(stats.misses, 0, "{stats:?}");
+    assert_eq!(stats.report_hits, 0, "{stats:?}");
+    assert_eq!(stats.uncacheable, 0, "{stats:?}");
+    assert_eq!(stats.store_hits, 351, "{stats:?}");
+    assert_eq!(stats.hits, stats.store_hits, "{stats:?}");
+
+    let cold = analyze_suite(&jobs, &SolveCache::new(), None, None);
+    assert_eq!(cold.summary.failures, 0);
+    assert_eq!(cold.reports.len(), warm.reports.len());
+    for (c, w) in cold.reports.iter().zip(&warm.reports) {
+        assert_eq!(c.name, w.name);
+        let (c, w) = (c.outcome.as_ref().unwrap(), w.outcome.as_ref().unwrap());
+        assert_eq!(dump(c), dump(w), "{}", c.name);
+    }
+    drop(warm_cache);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn truncated_record_is_skipped_with_a_counted_note() {
     let dir = temp_dir("truncate");

@@ -245,6 +245,16 @@ impl ConstrainedProduct {
         }
     }
 
+    /// The compiled objective `χ(D)`.
+    pub fn objective(&self) -> &CompiledPosynomial {
+        &self.objective
+    }
+
+    /// The compiled constraint `g(D)`.
+    pub fn constraint(&self) -> &CompiledConstraint {
+        &self.constraint
+    }
+
     /// Solve `max objective s.t. constraint ≤ x, D_t ≥ 1` with a damped
     /// multiplicative KKT fixed point.
     ///
